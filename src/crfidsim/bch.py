@@ -5,12 +5,16 @@ arbitrary target syndrome, which is the primitive the key-derivation layer
 needs: given a noisy word and the syndrome of the original, recover the
 original as long as they differ in at most t positions.
 
-Conventions:
-* words and syndromes are 0/1 sequences, coefficient-ascending
-  (bits[i] is the coefficient of x^i);
-* polynomials are also handled internally as int bitmasks with bit i = x^i;
+Bit order, shared by every layer from the CRP block to the wire:
+* words, messages, syndromes and polynomials are Python ints, and bit i of
+  the int is both the coefficient of x^i and response bit i; reading a
+  block's LSB-first SRAM bytes with int.from_bytes(..., "little") gives
+  exactly this order;
 * the information set is the message half of the systematic construction
-  c(x) = x^(n-k) m(x) + (x^(n-k) m(x) mod g(x)), i.e. positions n-k .. n-1.
+  c(x) = x^(n-k) m(x) + (x^(n-k) m(x) mod g(x)), i.e. positions n-k .. n-1,
+  so a word's message is word >> (n - k);
+* on the wire (keys, nonces, helper data, tags) bit i goes to the MSB-first
+  bit i of the byte string: byte i // 8, mask 0x80 >> (i % 8).
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
-
-from ._bits import bits_from_int, int_from_bits
 
 # primitive field polynomials, keyed by extension degree m
 FIELD_POLYS = {
@@ -53,14 +55,6 @@ class BchParams:
     field_poly: int
     generator_poly: int
     info_positions: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Syndrome:
-    bits: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 class GaloisField:
@@ -148,7 +142,7 @@ def _minimal_poly(rep: int, gf: GaloisField) -> int:
         coeffs = nxt
     # minimal polynomials of field elements always land in GF(2)
     assert all(c in (0, 1) for c in coeffs)
-    return int_from_bits(coeffs)
+    return sum(c << i for i, c in enumerate(coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -183,26 +177,23 @@ def make_code(n: int, k: int, t: int) -> BchParams:
     )
 
 
-def _check_word(word: Sequence[int], code: BchParams) -> int:
-    if len(word) != code.n:
-        raise ValueError(f"word length {len(word)} != n={code.n}")
-    return int_from_bits(word)
+def check_width(value: int, bits: int, what: str) -> None:
+    """Reject a bit vector that is negative or has a bit at position >= bits."""
+    if value < 0 or value >> bits:
+        raise ValueError(f"{what} wider than {bits} bits")
 
 
-def syndrome(word: Sequence[int], code: BchParams) -> Syndrome:
-    """Remainder of the word polynomial mod g(x), as n-k bits."""
-    w = _check_word(word, code)
-    rem = _poly_mod_gf2(w, code.generator_poly)
-    return Syndrome(bits_from_int(rem, code.n - code.k))
+def syndrome(word: int, code: BchParams) -> int:
+    """Remainder of the word polynomial mod g(x), an (n-k)-bit int."""
+    check_width(word, code.n, "word")
+    return _poly_mod_gf2(word, code.generator_poly)
 
 
-def encode(message: Sequence[int], code: BchParams) -> tuple[int, ...]:
+def encode(message: int, code: BchParams) -> int:
     """Systematic encoding; message bits occupy the information positions."""
-    if len(message) != code.k:
-        raise ValueError(f"message length {len(message)} != k={code.k}")
-    shifted = int_from_bits(message) << (code.n - code.k)
-    rem = _poly_mod_gf2(shifted, code.generator_poly)
-    return bits_from_int(shifted | rem, code.n)
+    check_width(message, code.k, "message")
+    shifted = message << (code.n - code.k)
+    return shifted | _poly_mod_gf2(shifted, code.generator_poly)
 
 
 def _power_sums(y: int, code: BchParams) -> list[int]:
@@ -258,20 +249,18 @@ def _chien_search(locator: list[int], code: BchParams) -> list[int]:
     ]
 
 
-def correct(word: Sequence[int], target: Syndrome, code: BchParams) -> tuple[int, ...]:
+def correct(word: int, target: int, code: BchParams) -> int:
     """Return the unique w with syndrome(w) = target and HD(word, w) <= t.
 
     Raises DecodeFailure when no such word exists. The difference between the
     input and the result is found by Berlekamp-Massey over the power sums of
     the syndrome delta, followed by an exhaustive (Chien) root search.
     """
-    w = _check_word(word, code)
-    if len(target.bits) != code.n - code.k:
-        raise ValueError("target syndrome length mismatch")
-    target_int = int_from_bits(target.bits)
-    delta = _poly_mod_gf2(w, code.generator_poly) ^ target_int
+    check_width(word, code.n, "word")
+    check_width(target, code.n - code.k, "target syndrome")
+    delta = _poly_mod_gf2(word, code.generator_poly) ^ target
     if delta == 0:
-        return bits_from_int(w, code.n)
+        return word
     # delta, read as a low-degree word, lies in the same coset as the error
     sums = _power_sums(delta, code)
     gf = _field(code.m, code.field_poly)
@@ -285,7 +274,7 @@ def correct(word: Sequence[int], target: Syndrome, code: BchParams) -> tuple[int
     err = 0
     for i in roots:
         err |= 1 << i
-    fixed = w ^ err
-    if _poly_mod_gf2(fixed, code.generator_poly) != target_int:
+    fixed = word ^ err
+    if _poly_mod_gf2(fixed, code.generator_poly) != target:
         raise DecodeFailure("corrected word misses the target syndrome")
-    return bits_from_int(fixed, code.n)
+    return fixed

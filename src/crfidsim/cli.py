@@ -297,12 +297,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for j in range(args.trials)
     ]
     raw_bias = puf.bias(raw_reads)
-    resp_bits: list[int] = []
+    ones = 0
     for j in range(args.trials):
         r = puf.readout(device, enroll.NOMINAL_TEMP, trial_seed=base + 1300 + j)
         for c in range(len(record.crp_map)):
-            resp_bits.extend(enroll.challenge_to_response(record.crp_map, c, r.bits))
-    pipe_bias = sum(resp_bits) / len(resp_bits)
+            ones += enroll.challenge_to_response(record.crp_map, c, r.bits).bit_count()
+    pipe_bias = ones / (args.trials * len(record.crp_map) * enroll.BLOCK_BITS)
     lines.append(f"raw\t{raw_bias:.5f}")
     lines.append(f"pipeline\t{pipe_bias:.5f}")
 
@@ -331,13 +331,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
     import random
 
     rng = random.Random(args.seed)
-    response = tuple(rng.randrange(2) for _ in range(cfg.response_bits))
+    response = sum(rng.randrange(2) << i for i in range(cfg.response_bits))
     _, helper = fuzzy.fe_gen(response, cfg)
     candidates = list(fuzzy.coset_candidates(helper, cfg))
 
-    tampered = fuzzy.HelperData(
-        tuple(b ^ (i == 0) for i, b in enumerate(helper.bits))
-    )
+    tampered = fuzzy.HelperData(helper.bits ^ 1)
     tampered_set = set(fuzzy.coset_candidates(tampered, cfg))
     overlap = len(tampered_set & set(candidates))
 
@@ -345,7 +343,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     lines = [
         "# attack_demo",
         f"code\t({code.n},{code.k},{code.t})",
-        f"helper\t{''.join(map(str, helper.bits))}",
+        "helper\t" + f"{helper.bits:0{cfg.helper_bits}b}"[::-1],   # bit 0 first
         f"candidates\t{len(candidates)}",
         f"expected\t2^{code.k} = {2 ** code.k}",
         f"true_response_in_candidates\t{'yes' if response in candidates else 'no'}",

@@ -6,7 +6,8 @@ readouts; its reference value is the per-bit majority over nominal-
 temperature readouts (any tie discards the byte). De-biasing then keeps
 only bytes whose reference has Hamming weight 4, and the survivors are
 packed, in address order, into blocks of 31 bytes. A block resolves a
-challenge to 248 response bits (byte order ascending, LSB-first bits).
+challenge to 248 response bits (byte order ascending, LSB-first bits),
+held as an int whose bit i is response bit i.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ class CrpBlockMap:
 class EnrollmentRecord:
     device_id: str
     crp_map: CrpBlockMap
-    references: tuple[tuple[int, ...], ...]    # 248 bits per block
+    references: tuple[int, ...]    # 248-bit response per block
     corner_temps: tuple[float, ...] = DEFAULT_CORNER_TEMPS
     nominal_temp: float = NOMINAL_TEMP
     corner_readouts: int = 0
     nominal_readouts: int = 0
 
-    def reference_for_challenge(self, c: int) -> tuple[int, ...]:
+    def reference_for_challenge(self, c: int) -> int:
         return self.references[c % len(self.crp_map)]
 
 
@@ -185,33 +186,20 @@ def efficiency(crp_map: CrpBlockMap, eligible_bits: int = DEFAULT_LAYOUT.eligibl
     return len(crp_map) * 8 * crp_map.block_bytes / eligible_bits
 
 
-def _byte_bits_lsb(readout_bits: np.ndarray, address: int) -> np.ndarray:
-    return readout_bits[8 * address : 8 * address + 8]
-
-
 def challenge_to_response(
     crp_map: CrpBlockMap, c: int, readout_bits: np.ndarray
-) -> tuple[int, ...]:
+) -> int:
     """Resolve a challenge to its block's 248 response bits.
 
     The block index is c modulo the block count; bytes are read in offset
     order, bits LSB-first within each byte.
     """
     block = crp_map.block_for_challenge(c)
-    out: list[int] = []
-    for addr in block.addresses():
-        bits = _byte_bits_lsb(np.asarray(readout_bits), addr)
-        if bits.size != 8:
-            raise ValueError("readout does not cover the mapped region")
-        out.extend(int(b) for b in bits)
-    return tuple(out)
-
-
-def _mask_reference_bits(values: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for v in values:
-        out.extend((v >> j) & 1 for j in range(8))
-    return tuple(out)
+    cells = (8 * np.array(block.addresses())[:, None] + np.arange(8)).ravel()
+    bits = np.asarray(readout_bits)
+    if cells.max() >= bits.size:
+        raise ValueError("readout does not cover the mapped region")
+    return int.from_bytes(np.packbits(bits[cells], bitorder="little").tobytes(), "little")
 
 
 def build_record(
@@ -225,8 +213,8 @@ def build_record(
     by_addr = dict(zip(mask.addresses, mask.values))
     references = []
     for block in crp_map.blocks:
-        values = [by_addr[a] for a in block.addresses()]
-        references.append(_mask_reference_bits(values))
+        values = bytes(by_addr[a] for a in block.addresses())
+        references.append(int.from_bytes(values, "little"))
     return EnrollmentRecord(
         device_id=device_id,
         crp_map=crp_map,
@@ -276,9 +264,8 @@ def measure_pipeline_ber(
             trial += 1
             for c in range(len(record.crp_map)):
                 got = challenge_to_response(record.crp_map, c, r.bits)
-                ref = record.references[c]
-                errors += sum(a != b for a, b in zip(got, ref))
-                bits += len(ref)
+                errors += (got ^ record.references[c]).bit_count()
+                bits += 8 * record.crp_map.block_bytes
     return errors / bits
 
 
@@ -298,10 +285,7 @@ def record_to_text(record: EnrollmentRecord) -> str:
         offs = ",".join(str(o) for o in block.offsets)
         lines.append(f"block {i}: start={block.start_address} offsets={offs}")
     for i, ref in enumerate(record.references):
-        raw = bytes(
-            sum((ref[8 * j + b] & 1) << b for b in range(8))
-            for j in range(len(ref) // 8)
-        )
+        raw = ref.to_bytes(record.crp_map.block_bytes, "little")
         lines.append(f"ref {i}: {base64.b64encode(raw).decode()}")
     return "\n".join(lines) + "\n"
 
@@ -309,7 +293,7 @@ def record_to_text(record: EnrollmentRecord) -> str:
 def record_from_text(text: str) -> EnrollmentRecord:
     fields: dict[str, str] = {}
     blocks: dict[int, CrpBlock] = {}
-    refs: dict[int, tuple[int, ...]] = {}
+    refs: dict[int, int] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -325,7 +309,7 @@ def record_from_text(text: str) -> EnrollmentRecord:
             )
         elif key.startswith("ref "):
             idx = int(key.split()[1])
-            refs[idx] = _mask_reference_bits(base64.b64decode(value))
+            refs[idx] = int.from_bytes(base64.b64decode(value), "little")
         else:
             fields[key] = value
     n = int(fields["blocks"])

@@ -10,7 +10,9 @@ bits of the device's readout.
 Key derivation uses the information-set coordinates of each block: for a
 linear code those coordinates are a bijection with the syndrome coset, so
 the key carries exactly k bits of residual entropy per block and no hash
-is needed on the device.
+is needed on the device. Responses, helper data and keys are int bitmasks
+in the bit order that bch documents; block i of a response is bits
+i*n .. i*n+n-1, and its syndrome and key bits sit at i*(n-k) and i*k.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from . import bch
-from ._bits import int_from_bits, pack_msb
 
 
 @dataclass(frozen=True)
@@ -49,66 +50,68 @@ def default_config() -> FeConfig:
     return FeConfig(code=bch.make_code(31, 16, 3), blocks=8)
 
 
+def reverse_bits(value: int, nbits: int) -> int:
+    """Mirror the low nbits of value, so bit i moves to bit nbits-1-i.
+
+    This is the step between int bit order and MSB-first wire bytes:
+    reverse_bits(v, 8 * m).to_bytes(m, "big") puts bit i of v into bit i of
+    the byte string, and reverse_bits(int.from_bytes(b, "big"), 8 * len(b))
+    reads it back.
+    """
+    return int(f"{value:0{nbits}b}"[::-1], 2)
+
+
 @dataclass(frozen=True)
 class HelperData:
-    bits: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.bits)
+    bits: int
 
 
 @dataclass(frozen=True)
 class SessionKey:
-    bits: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.bits)
+    bits: int
 
     def as_bytes(self) -> bytes:
-        return pack_msb(self.bits)
+        """The 128-bit AES key, key bit i in MSB-first bit i."""
+        return reverse_bits(self.bits, 128).to_bytes(16, "big")
 
 
 class KeyRecoveryFailure(Exception):
     """Some block failed bounded-distance decoding."""
 
 
-def _blocks_of(r: Sequence[int], cfg: FeConfig) -> list[tuple[int, ...]]:
-    n = cfg.code.n
-    return [tuple(r[i * n : (i + 1) * n]) for i in range(cfg.blocks)]
-
-
-def fe_gen(r: Sequence[int], cfg: FeConfig) -> tuple[SessionKey, HelperData]:
+def fe_gen(r: int, cfg: FeConfig) -> tuple[SessionKey, HelperData]:
     """Helper data = concatenated per-block syndromes; key = info-set bits."""
-    if len(r) != cfg.response_bits:
-        raise ValueError(f"response length {len(r)} != {cfg.response_bits}")
-    helper: list[int] = []
-    key: list[int] = []
-    for block in _blocks_of(r, cfg):
-        helper.extend(bch.syndrome(block, cfg.code).bits)
-        key.extend(block[i] for i in cfg.code.info_positions)
-    return SessionKey(tuple(key)), HelperData(tuple(helper))
+    bch.check_width(r, cfg.response_bits, "response")
+    n, k = cfg.code.n, cfg.code.k
+    nk, mask = n - k, (1 << n) - 1
+    helper = key = 0
+    for i in range(cfg.blocks):
+        block = (r >> (i * n)) & mask
+        helper |= bch.syndrome(block, cfg.code) << (i * nk)
+        key |= (block >> nk) << (i * k)
+    return SessionKey(key), HelperData(helper)
 
 
-def fe_rec(r_prime: Sequence[int], h: HelperData, cfg: FeConfig) -> SessionKey:
+def fe_rec(r_prime: int, h: HelperData, cfg: FeConfig) -> SessionKey:
     """Correct each enrolled block toward its published syndrome.
 
     Raises KeyRecoveryFailure if any block cannot be decoded; there are no
     partial keys.
     """
-    if len(r_prime) != cfg.response_bits:
-        raise ValueError(f"response length {len(r_prime)} != {cfg.response_bits}")
-    if len(h) != cfg.helper_bits:
-        raise ValueError(f"helper length {len(h)} != {cfg.helper_bits}")
-    nk = cfg.code.n - cfg.code.k
-    key: list[int] = []
-    for i, block in enumerate(_blocks_of(r_prime, cfg)):
-        target = bch.Syndrome(tuple(h.bits[i * nk : (i + 1) * nk]))
+    bch.check_width(r_prime, cfg.response_bits, "response")
+    bch.check_width(h.bits, cfg.helper_bits, "helper")
+    n, k = cfg.code.n, cfg.code.k
+    nk, mask = n - k, (1 << n) - 1
+    key = 0
+    for i in range(cfg.blocks):
+        block = (r_prime >> (i * n)) & mask
+        target = (h.bits >> (i * nk)) & ((1 << nk) - 1)
         try:
             fixed = bch.correct(block, target, cfg.code)
         except bch.DecodeFailure as exc:
             raise KeyRecoveryFailure(f"block {i}: {exc}") from exc
-        key.extend(fixed[j] for j in cfg.code.info_positions)
-    return SessionKey(tuple(key))
+        key |= (fixed >> nk) << (i * k)
+    return SessionKey(key)
 
 
 # ------------------------------------------------------------------ analytics
@@ -139,7 +142,7 @@ def residual_min_entropy(bias: float, cfg: FeConfig) -> float:
     return cfg.blocks * per_block
 
 
-def coset_candidates(h: HelperData, cfg: FeConfig) -> Iterator[tuple[int, ...]]:
+def coset_candidates(h: HelperData, cfg: FeConfig) -> Iterator[int]:
     """All responses consistent with the given helper data (toy scale only).
 
     Enumerates every length-(blocks*n) word whose per-block syndromes equal
@@ -148,14 +151,9 @@ def coset_candidates(h: HelperData, cfg: FeConfig) -> Iterator[tuple[int, ...]]:
     """
     if cfg.blocks != 1 or cfg.code.n > 20:
         raise ValueError("coset enumeration is only supported at toy scale")
-    n = cfg.code.n
-    target = tuple(h.bits)
-    from ._bits import bits_from_int
-
-    for w in range(1 << n):
-        word = bits_from_int(w, n)
-        if bch.syndrome(word, cfg.code).bits == target:
-            yield word
+    for w in range(1 << cfg.code.n):
+        if bch.syndrome(w, cfg.code) == h.bits:
+            yield w
 
 
 # -------------------------------------------------------- Monte-Carlo kernel
@@ -177,11 +175,9 @@ def build_decode_tables(code: bch.BchParams) -> DecodeTables:
     parity = np.zeros((code.n, nk), dtype=np.uint8)
     row_ints = []
     for i in range(code.n):
-        word = [0] * code.n
-        word[i] = 1
-        s = bch.syndrome(word, code).bits
-        parity[i] = s
-        row_ints.append(int_from_bits(s))
+        s = bch.syndrome(1 << i, code)
+        parity[i] = [(s >> j) & 1 for j in range(nk)]
+        row_ints.append(s)
     leaders = np.full(1 << nk, -1, dtype=np.int64)
     leaders[0] = 0
     for weight in range(1, code.t + 1):

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .layout import DEFAULT_LAYOUT
+
 CMD_BLOCKWRITE = 0xC7
 WORDPTR_AUTHENTICATE = 0x03
 WORDPTR_SECURECOMM = 0x7D
 WORDPTR_TAGPRIVILEGE = 0x7E
 TAGPRIVILEGE_WORD = 0x0001
 MAX_WORDS = 255
-DOWNLOAD_WORDS = 4096
+DOWNLOAD_WORDS = DEFAULT_LAYOUT.download_bytes // 2
 
 CRC_POLY = 0x1021
 CRC_PRESET = 0xFFFF

@@ -44,10 +44,6 @@ class MemoryLayout:
     def eligible_bits(self) -> int:
         return 8 * self.eligible_bytes
 
-    @property
-    def download_words(self) -> int:
-        return self.download_bytes // 2
-
     def __post_init__(self) -> None:
         if self.eligible_bytes <= 0:
             raise ValueError("reserved regions exceed SRAM size")

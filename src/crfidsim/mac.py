@@ -1,8 +1,7 @@
 """AES-128 CMAC and the single-block payload cipher.
 
-The CMAC construction (subkey derivation, last-block masking, CBC
-chaining) is implemented here directly so its structure is visible and
-testable; only the AES block primitive comes from `cryptography`.
+Both come from `cryptography`: CMAC (NIST SP 800-38B) from its cmac
+module, and the payload cipher is one raw AES block (ECB on 16 bytes).
 """
 
 from __future__ import annotations
@@ -10,10 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.cmac import CMAC
 
 BLOCK = 16
-_MASK128 = (1 << 128) - 1
-_RB = 0x87
 
 
 @dataclass(frozen=True)
@@ -43,38 +41,12 @@ def _aes_decrypt_block(key: bytes, block: bytes) -> bytes:
     return dec.update(block) + dec.finalize()
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
-def _dbl(block: bytes) -> bytes:
-    """Doubling in GF(2^128) with the CMAC reduction constant."""
-    v = int.from_bytes(block, "big") << 1
-    if v >> 128:
-        v ^= _RB
-    return (v & _MASK128).to_bytes(BLOCK, "big")
-
-
-def _subkeys(key: bytes) -> tuple[bytes, bytes]:
-    l = _aes_encrypt_block(key, bytes(BLOCK))
-    k1 = _dbl(l)
-    return k1, _dbl(k1)
-
-
 def cmac(key: bytes, message: bytes) -> MacTag:
     """CMAC-AES128 over a message of any length, including empty."""
     _check_key(key)
-    k1, k2 = _subkeys(key)
-    if message and len(message) % BLOCK == 0:
-        head, last = message[:-BLOCK], _xor(message[-BLOCK:], k1)
-    else:
-        tail = message[len(message) - len(message) % BLOCK :] if message else b""
-        padded = tail + b"\x80" + bytes(BLOCK - len(tail) - 1)
-        head, last = message[: len(message) - len(tail)], _xor(padded, k2)
-    x = bytes(BLOCK)
-    for i in range(0, len(head), BLOCK):
-        x = _aes_encrypt_block(key, _xor(x, head[i : i + BLOCK]))
-    return MacTag(_aes_encrypt_block(key, _xor(x, last)))
+    c = CMAC(algorithms.AES(key))
+    c.update(message)
+    return MacTag(c.finalize())
 
 
 def _nonce_bytes(nonce: int | bytes) -> bytes:

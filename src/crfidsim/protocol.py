@@ -16,11 +16,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import enroll, fuzzy, gen2, mac, puf
-from ._bits import pack_msb, unpack_msb
-from .layout import DEFAULT_LAYOUT, MemoryLayout
+import numpy as np
 
+from . import enroll, fuzzy, gen2, mac, puf
+from .layout import DEFAULT_LAYOUT
+
+# 8 x BCH(31,16,3): the only split of the 248-bit CRP block into a 128-bit
+# AES key and 120 helper bits (15 wire bytes)
+FE_CONFIG = fuzzy.default_config()
 CHUNK_WORDS = 32
+START_WORD = 0
+MAX_ATTEMPTS = 3
 SETUP_WORDPTR = 0x04
 METHOD_CMAC_AES128 = 0x01
 CSI_CMAC_AES128 = 0x01
@@ -279,29 +285,26 @@ def token_boot(
     nvm: TokenNvm,
     temperature: float,
     boot_seed: int,
-    fe_config: fuzzy.FeConfig | None = None,
-    layout: MemoryLayout = DEFAULT_LAYOUT,
 ) -> TokenState:
     """Power-on flow: temperature gate, fresh nonce/challenge, key derivation."""
     if not TEMP_LEGAL_MIN <= temperature <= TEMP_LEGAL_MAX:
         return TokenState(
             mode=TokenMode.HALTED, nvm=nvm, temperature=temperature, otf=True
         )
-    cfg = fe_config or fuzzy.default_config()
     nonce = puf.trng_next(device, 128, trial_seed=4 * boot_seed,
                           temperature=temperature)
     c_bits = puf.trng_next(device, 8, trial_seed=4 * boot_seed + 1,
                            temperature=temperature)
-    challenge = int("".join(str(b) for b in c_bits), 2)
+    challenge = int(np.packbits(c_bits)[0])
     sample = puf.readout(device, temperature, trial_seed=4 * boot_seed + 2)
     r = enroll.challenge_to_response(nvm.crp_map, challenge, sample.bits)
-    sk, helper = fuzzy.fe_gen(r, cfg)
+    sk, helper = fuzzy.fe_gen(r, FE_CONFIG)
     mode = TokenMode.KEY_READY if nvm.firmware_update_flag else TokenMode.USER_CODE
     return TokenState(
         mode=mode,
         nvm=nvm,
         temperature=temperature,
-        nonce=pack_msb(nonce),
+        nonce=np.packbits(nonce).tobytes(),
         challenge=challenge,
         sk=sk,
         helper=helper,
@@ -377,10 +380,10 @@ def token_handle(state: TokenState, frame: gen2.Gen2Frame) -> tuple[TokenState, 
         state.mode = TokenMode.FIRMWARE_UPDATE
         assert state.nonce is not None and state.challenge is not None
         assert state.helper is not None
+        nbits = FE_CONFIG.helper_bits
+        helper = fuzzy.reverse_bits(state.helper.bits, nbits).to_bytes(nbits // 8, "big")
         return state, AuthReply(
-            nonce=state.nonce,
-            challenge=state.challenge,
-            helper=pack_msb(state.helper.bits),
+            nonce=state.nonce, challenge=state.challenge, helper=helper
         )
 
     if isinstance(view, gen2.BlockWrite):   # membank 1..3: data-plane write
@@ -426,13 +429,11 @@ class TokenSim:
         crp_map: enroll.CrpBlockMap,
         temperature: float = 25.0,
         session_seed: int = 0,
-        fe_config: fuzzy.FeConfig | None = None,
     ) -> None:
         self.device = device
         self.nvm = TokenNvm(crp_map=crp_map)
         self.temperature = temperature
         self.session_seed = session_seed
-        self.fe_config = fe_config or fuzzy.default_config()
         self.boot_count = 0
         self.brownout_pending = False
         self.state = self._boot()
@@ -444,7 +445,6 @@ class TokenSim:
             self.nvm,
             self.temperature,
             boot_seed=self.session_seed * 100_000 + self.boot_count,
-            fe_config=self.fe_config,
         )
 
     def power_cycle(self) -> None:
@@ -522,10 +522,7 @@ def _run_attempt(
     image: FirmwareImage,
     channel: Channel,
     rng: random.Random,
-    chunk_words: int,
-    start_word: int,
     use_reader_split: bool,
-    fe_config: fuzzy.FeConfig,
 ) -> UpdateOutcome:
     def rn() -> int:
         return rng.randrange(1 << 16)
@@ -541,7 +538,7 @@ def _run_attempt(
 
     assembled = image.assemble()
     setup = UpdateSetup(
-        size=len(assembled), start_word=start_word, method=METHOD_CMAC_AES128
+        size=len(assembled), start_word=START_WORD, method=METHOD_CMAC_AES128
     )
     reply = channel.send(gen2.encode(
         gen2.BlockWrite(membank=0, wordptr=SETUP_WORDPTR, words=setup.to_words()),
@@ -557,19 +554,23 @@ def _run_attempt(
         return fail_kind()
     auth = reply
 
+    nbits = FE_CONFIG.helper_bits
+    if len(auth.helper) != nbits // 8:     # garbled on the air: no usable helper
+        return UpdateOutcome.KEY_RECOVERY_FAILURE
     r_ref = record.reference_for_challenge(auth.challenge)
-    helper = fuzzy.HelperData(bits=unpack_msb(auth.helper, fe_config.helper_bits))
+    wire = int.from_bytes(auth.helper, "big")
+    helper = fuzzy.HelperData(fuzzy.reverse_bits(wire, nbits))
     try:
-        sk = fuzzy.fe_rec(r_ref, helper, fe_config)
+        sk = fuzzy.fe_rec(r_ref, helper, FE_CONFIG)
     except fuzzy.KeyRecoveryFailure:
         return UpdateOutcome.KEY_RECOVERY_FAILURE
 
     words = _image_words(assembled)
-    for i in range(0, len(words), chunk_words):
+    for i in range(0, len(words), CHUNK_WORDS):
         chunk = gen2.BlockWrite(
             membank=3,
-            wordptr=start_word + i,
-            words=tuple(words[i : i + chunk_words]),
+            wordptr=START_WORD + i,
+            words=tuple(words[i : i + CHUNK_WORDS]),
         )
         parts = gen2.reader_split(chunk) if use_reader_split else [chunk]
         for part in parts:
@@ -580,7 +581,7 @@ def _run_attempt(
     key = sk.as_bytes()
     tag = mac.mac_firmware(assembled, auth.nonce, key)
     sc = gen2.SecureComm(
-        inner_wordptr=start_word, ciphertext=mac.sc_encrypt(tag.tag, key)
+        inner_wordptr=START_WORD, ciphertext=mac.sc_encrypt(tag.tag, key)
     )
     reply = channel.send(gen2.encode(sc, rn()))
     if isinstance(reply, Ack):
@@ -595,25 +596,17 @@ def prover_update(
     token_id: str,
     image: FirmwareImage,
     channel: Channel,
-    chunk_words: int = CHUNK_WORDS,
-    start_word: int = 0,
-    max_attempts: int = 3,
     use_reader_split: bool = False,
-    fe_config: fuzzy.FeConfig | None = None,
     rng_seed: int = 0,
 ) -> UpdateOutcome:
     """Drive a full update; fresh sessions retry transient key failures."""
     record = db.get(token_id)
-    cfg = fe_config or fuzzy.default_config()
     rng = random.Random(rng_seed)
     outcome = UpdateOutcome.TIMEOUT
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         if attempt:
             channel.reset_token()
-        outcome = _run_attempt(
-            record, image, channel, rng, chunk_words, start_word,
-            use_reader_split, cfg,
-        )
+        outcome = _run_attempt(record, image, channel, rng, use_reader_split)
         if outcome not in (
             UpdateOutcome.KEY_RECOVERY_FAILURE,
             UpdateOutcome.BROWNOUT_ABORTED,

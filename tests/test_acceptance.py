@@ -82,23 +82,23 @@ def test_criterion_02_monte_carlo_agreement(capsys):
 
 def test_criterion_03_exhaustive_toy_code(capsys):
     code = bch.make_code(7, 4, 1)
-    zero = bch.Syndrome((0,) * 3)
+    zero = 0
     decode_ok = True
     for msg_int in range(16):
-        msg = tuple((msg_int >> i) & 1 for i in range(4))
+        msg = msg_int
         cw = bch.encode(msg, code)
-        patterns = [tuple(0 for _ in range(7))]
-        patterns += [tuple(int(i == j) for i in range(7)) for j in range(7)]
+        patterns = [0]
+        patterns += [1 << j for j in range(7)]
         for e in patterns:
-            got = bch.correct(tuple(c ^ b for c, b in zip(cw, e)), zero, code)
+            got = bch.correct(cw ^ e, zero, code)
             decode_ok &= got == cw
 
     cfg = fuzzy.FeConfig(code=code, blocks=1)
     coset_ok = True
     by_syndrome = {}
     for w in range(128):
-        word = tuple((w >> i) & 1 for i in range(7))
-        s = bch.syndrome(word, code).bits
+        word = w
+        s = bch.syndrome(word, code)
         by_syndrome.setdefault(s, set()).add(word)
     coset_ok &= len(by_syndrome) == 8
     for s, members in by_syndrome.items():
@@ -147,8 +147,8 @@ def test_criterion_05_enrollment_reproduction(capsys):
             r = puf.readout(device, enroll.NOMINAL_TEMP, trial_seed=800_000 + j)
             for c in range(len(record.crp_map)):
                 bits = enroll.challenge_to_response(record.crp_map, c, r.bits)
-                pooled_ones += sum(bits)
-                pooled_bits += len(bits)
+                pooled_ones += bits.bit_count()
+                pooled_bits += enroll.BLOCK_BITS
     bias = pooled_ones / pooled_bits
 
     effs = {}

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crfidsim import bch
-from crfidsim._bits import bits_from_int, hamming_distance, int_from_bits
 
 # frozen: derived via lcm of minimal polynomials, verified to divide x^n - 1
 # and to have alpha^1..alpha^2t as roots
@@ -34,6 +33,11 @@ def ref_poly_mod(a: int, mod: int) -> int:
     while a and a.bit_length() - 1 >= dm:
         a ^= mod << (a.bit_length() - 1 - dm)
     return a
+
+
+def rand_bits(rng: random.Random, n: int) -> int:
+    """n fair bits drawn in index order, bit i of the result first."""
+    return sum(rng.randint(0, 1) << i for i in range(n))
 
 
 def ref_codewords_741() -> list[int]:
@@ -80,14 +84,14 @@ def test_unsupported_parameters_rejected():
 
 def test_syndrome_zero_vector():
     code = bch.make_code(31, 16, 3)
-    s = bch.syndrome((0,) * 31, code)
-    assert s.bits == (0,) * 15
+    s = bch.syndrome(0, code)
+    assert s == 0
 
 
 def test_syndrome_length_mismatch():
     code = bch.make_code(7, 4, 1)
     with pytest.raises(ValueError):
-        bch.syndrome((0,) * 8, code)
+        bch.syndrome(1 << 7, code)
 
 
 def test_syndrome_zero_iff_codeword_741():
@@ -95,8 +99,8 @@ def test_syndrome_zero_iff_codeword_741():
     codewords = set(ref_codewords_741())
     assert len(codewords) == 16
     for w in range(1 << 7):
-        s = bch.syndrome(bits_from_int(w, 7), code)
-        assert (int_from_bits(s.bits) == 0) == (w in codewords)
+        s = bch.syndrome(w, code)
+        assert (s == 0) == (w in codewords)
 
 
 def test_syndrome_serialization_is_coefficient_ascending():
@@ -104,22 +108,17 @@ def test_syndrome_serialization_is_coefficient_ascending():
     # at index i; this pins the bit order of the serialized remainder.
     code = bch.make_code(31, 16, 3)
     for i in range(code.n - code.k):
-        word = [0] * code.n
-        word[i] = 1
-        s = bch.syndrome(word, code)
-        expected = tuple(1 if j == i else 0 for j in range(15))
-        assert s.bits == expected
+        s = bch.syndrome(1 << i, code)
+        assert s == 1 << i
 
 
 def test_single_bit_syndromes_distinct_741():
     code = bch.make_code(7, 4, 1)
     seen = set()
     for i in range(7):
-        word = [0] * 7
-        word[i] = 1
-        seen.add(bch.syndrome(word, code).bits)
+        seen.add(bch.syndrome(1 << i, code))
     assert len(seen) == 7
-    assert (0, 0, 0) not in seen
+    assert 0 not in seen
 
 
 @pytest.mark.parametrize("params", ALL_CODES)
@@ -129,9 +128,7 @@ def test_parity_map_full_rank(params):
     code = bch.make_code(n, k, t)
     rows = []
     for i in range(n):
-        word = [0] * n
-        word[i] = 1
-        rows.append(int_from_bits(bch.syndrome(word, code).bits))
+        rows.append(bch.syndrome(1 << i, code))
     rank = 0
     for bit in range(n - k):
         pivot = next((r for r in rows if (r >> bit) & 1 and r < (1 << (bit + 1))), None)
@@ -148,9 +145,9 @@ def test_parity_map_full_rank(params):
 @given(st.integers(0, (1 << 31) - 1), st.integers(0, (1 << 31) - 1))
 def test_syndrome_linearity_31(a, b):
     code = bch.make_code(31, 16, 3)
-    sa = int_from_bits(bch.syndrome(bits_from_int(a, 31), code).bits)
-    sb = int_from_bits(bch.syndrome(bits_from_int(b, 31), code).bits)
-    sab = int_from_bits(bch.syndrome(bits_from_int(a ^ b, 31), code).bits)
+    sa = bch.syndrome(a, code)
+    sb = bch.syndrome(b, code)
+    sab = bch.syndrome(a ^ b, code)
     assert sab == sa ^ sb
 
 
@@ -158,9 +155,9 @@ def test_syndrome_linearity_31(a, b):
 @given(st.integers(0, (1 << 63) - 1), st.integers(0, (1 << 63) - 1))
 def test_syndrome_linearity_63(a, b):
     code = bch.make_code(63, 24, 7)
-    sa = int_from_bits(bch.syndrome(bits_from_int(a, 63), code).bits)
-    sb = int_from_bits(bch.syndrome(bits_from_int(b, 63), code).bits)
-    sab = int_from_bits(bch.syndrome(bits_from_int(a ^ b, 63), code).bits)
+    sa = bch.syndrome(a, code)
+    sb = bch.syndrome(b, code)
+    sab = bch.syndrome(a ^ b, code)
     assert sab == sa ^ sb
 
 
@@ -168,34 +165,31 @@ def test_encode_is_systematic():
     code = bch.make_code(31, 16, 3)
     rng = random.Random(7)
     for _ in range(50):
-        msg = tuple(rng.randint(0, 1) for _ in range(16))
+        msg = rand_bits(rng, 16)
         cw = bch.encode(msg, code)
-        assert tuple(cw[i] for i in code.info_positions) == msg
-        assert int_from_bits(bch.syndrome(cw, code).bits) == 0
+        assert cw >> (code.n - code.k) == msg
+        assert bch.syndrome(cw, code) == 0
 
 
 def test_correct_noiseless_identity():
     code = bch.make_code(7, 4, 1)
     for w in ref_codewords_741():
-        word = bits_from_int(w, 7)
-        assert bch.correct(word, bch.Syndrome((0, 0, 0)), code) == word
+        assert bch.correct(w, 0, code) == w
 
 
 def test_correct_exhaustive_single_errors_741():
     code = bch.make_code(7, 4, 1)
-    zero = bch.Syndrome((0, 0, 0))
     for w in ref_codewords_741():
         for pos in range(7):
-            noisy = bits_from_int(w ^ (1 << pos), 7)
-            assert bch.correct(noisy, zero, code) == bits_from_int(w, 7)
+            assert bch.correct(w ^ (1 << pos), 0, code) == w
 
 
 def test_coset_sizes_exhaustive_741():
     # every syndrome value has exactly 2^4 preimages
     code = bch.make_code(7, 4, 1)
-    buckets: dict[tuple, int] = {}
+    buckets: dict[int, int] = {}
     for w in range(1 << 7):
-        s = bch.syndrome(bits_from_int(w, 7), code).bits
+        s = bch.syndrome(w, code)
         buckets[s] = buckets.get(s, 0) + 1
     assert len(buckets) == 8
     assert set(buckets.values()) == {16}
@@ -205,17 +199,16 @@ def test_coset_sizes_exhaustive_741():
 def test_correct_random_errors_within_t(params, trials):
     n, k, t = params
     code = bch.make_code(n, k, t)
-    zero = bch.Syndrome((0,) * (n - k))
     rng = random.Random(1234)
     for _ in range(trials):
-        msg = tuple(rng.randint(0, 1) for _ in range(k))
+        msg = rand_bits(rng, k)
         cw = bch.encode(msg, code)
         nerr = rng.randint(0, t)
         errpos = rng.sample(range(n), nerr)
-        noisy = list(cw)
+        noisy = cw
         for p in errpos:
-            noisy[p] ^= 1
-        assert bch.correct(noisy, zero, code) == cw
+            noisy ^= 1 << p
+        assert bch.correct(noisy, 0, code) == cw
 
 
 def test_correct_toward_nonzero_target():
@@ -223,11 +216,11 @@ def test_correct_toward_nonzero_target():
     code = bch.make_code(31, 16, 3)
     rng = random.Random(99)
     for _ in range(400):
-        r = tuple(rng.randint(0, 1) for _ in range(31))
+        r = rand_bits(rng, 31)
         target = bch.syndrome(r, code)
-        noisy = list(r)
+        noisy = r
         for p in rng.sample(range(31), rng.randint(0, 3)):
-            noisy[p] ^= 1
+            noisy ^= 1 << p
         assert bch.correct(noisy, target, code) == r
 
 
@@ -235,23 +228,22 @@ def test_beyond_t_never_silently_correct():
     # t+1 flips: either DecodeFailure, or a word that satisfies the contract
     # (target syndrome, HD <= t) and therefore cannot be the original.
     code = bch.make_code(31, 16, 3)
-    zero = bch.Syndrome((0,) * 15)
     rng = random.Random(5)
     returned = failed = 0
     for _ in range(300):
-        msg = tuple(rng.randint(0, 1) for _ in range(16))
+        msg = rand_bits(rng, 16)
         cw = bch.encode(msg, code)
-        noisy = list(cw)
+        noisy = cw
         for p in rng.sample(range(31), 4):
-            noisy[p] ^= 1
+            noisy ^= 1 << p
         try:
-            w = bch.correct(noisy, zero, code)
+            w = bch.correct(noisy, 0, code)
         except bch.DecodeFailure:
             failed += 1
             continue
         returned += 1
-        assert int_from_bits(bch.syndrome(w, code).bits) == 0
-        assert hamming_distance(noisy, w) <= 3
+        assert bch.syndrome(w, code) == 0
+        assert (noisy ^ w).bit_count() <= 3
         assert w != cw
     assert returned + failed == 300
     assert failed > 0  # some weight-4 cosets have no weight<=3 leader
@@ -261,12 +253,12 @@ def test_correct_postcondition_rechecked():
     code = bch.make_code(63, 24, 7)
     rng = random.Random(21)
     for _ in range(150):
-        r = tuple(rng.randint(0, 1) for _ in range(63))
+        r = rand_bits(rng, 63)
         target = bch.syndrome(r, code)
-        noisy = list(r)
+        noisy = r
         for p in rng.sample(range(63), rng.randint(0, 7)):
-            noisy[p] ^= 1
+            noisy ^= 1 << p
         w = bch.correct(noisy, target, code)
-        assert bch.syndrome(w, code).bits == target.bits
-        assert hamming_distance(noisy, w) <= 7
+        assert bch.syndrome(w, code) == target
+        assert (noisy ^ w).bit_count() <= 7
         assert w == r

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from crfidsim import enroll, fuzzy, gen2, mac, protocol, puf
-from crfidsim._bits import unpack_msb
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +22,11 @@ def fresh_token(enrolled, temperature=25.0, session_seed=1):
 
 
 IMAGE = protocol.demo_images()["boot-shim"]
+
+
+def wire_helper(auth):
+    """The 120 helper bits of an AuthReply, read MSB-first off the wire."""
+    return fuzzy.reverse_bits(int.from_bytes(auth.helper, "big"), 120)
 
 
 class TestFirmwareImage:
@@ -99,7 +103,7 @@ class TestTokenBoot:
         assert st.mode is protocol.TokenMode.KEY_READY
         assert st.nonce is not None and len(st.nonce) == 16
         assert st.challenge is not None and 0 <= st.challenge < 256
-        assert st.sk is not None and len(st.sk) == 128
+        assert st.sk is not None and st.sk.bits < 1 << 128
         assert st.helper is not None
 
     def test_flag_clear_boots_user_code(self, enrolled):
@@ -299,7 +303,7 @@ class TestEndToEnd:
         assert isinstance(auth, protocol.AuthReply)
         sk = fuzzy.fe_rec(
             record.reference_for_challenge(auth.challenge),
-            fuzzy.HelperData(bits=unpack_msb(auth.helper, 120)),
+            fuzzy.HelperData(bits=wire_helper(auth)),
             fuzzy.default_config(),
         )
         data = IMAGE.assemble()
@@ -360,18 +364,14 @@ class TestTamperAndReplay:
         assert isinstance(auth, protocol.AuthReply)
 
         code = bch.make_code(31, 16, 3)
-        info_err = [0] * 31
-        info_err[code.info_positions[1]] = 1
-        twist = bch.syndrome(info_err, code).bits
-        bits = list(unpack_msb(auth.helper, 120))
-        for i, b in enumerate(twist):    # block 0 slice of the helper
-            bits[i] ^= b
+        twist = bch.syndrome(1 << code.info_positions[1], code)
+        bits = wire_helper(auth) ^ twist    # block 0 slice of the helper
         cfg = fuzzy.default_config()
         committed = False
         try:
             sk = fuzzy.fe_rec(
                 record.reference_for_challenge(auth.challenge),
-                fuzzy.HelperData(bits=tuple(bits)),
+                fuzzy.HelperData(bits=bits),
                 cfg,
             )
         except fuzzy.KeyRecoveryFailure:
@@ -411,6 +411,25 @@ class TestTamperAndReplay:
         reply = ch2.send(stale)
         assert reply == protocol.Nak(protocol.ErrorCode.MAC_MISMATCH)
         assert bytes(token.nvm.app_area) == committed_app
+
+    @pytest.mark.parametrize("resize", [lambda h: h[:14], lambda h: h + b"\x00",
+                                        lambda h: h + b"\x01"],
+                             ids=["short", "long-zero", "long-one"])
+    def test_wrong_length_helper_is_a_key_failure(self, enrolled, resize):
+        _, _, db = enrolled
+
+        class ResizingChannel(protocol.Channel):
+            def send(self, frame):
+                reply = super().send(frame)
+                if isinstance(reply, protocol.AuthReply):
+                    reply = protocol.AuthReply(reply.nonce, reply.challenge,
+                                               resize(reply.helper))
+                return reply
+
+        token = fresh_token(enrolled, session_seed=3)
+        out = protocol.prover_update(db, 11, IMAGE, ResizingChannel(token))
+        assert out is protocol.UpdateOutcome.KEY_RECOVERY_FAILURE
+        assert bytes(token.nvm.app_area) == bytes(len(token.nvm.app_area))
 
 
 class BrownoutChannel(protocol.Channel):
@@ -485,7 +504,7 @@ class TestSessionIndependence:
         auth1 = open_update(ch, size=IMAGE.total_bytes)
         sk1 = fuzzy.fe_rec(
             record.reference_for_challenge(auth1.challenge),
-            fuzzy.HelperData(bits=unpack_msb(auth1.helper, 120)),
+            fuzzy.HelperData(bits=wire_helper(auth1)),
             fuzzy.default_config(),
         )
         blocks = len(record.crp_map)
@@ -509,3 +528,33 @@ class TestSessionIndependence:
             inner_wordptr=0, ciphertext=mac.sc_encrypt(tag.tag, key1)))
         assert reply == protocol.Nak(protocol.ErrorCode.MAC_MISMATCH)
         assert bytes(token.nvm.app_area) == bytes(len(token.nvm.app_area))
+
+
+class TestWireOrderPinned:
+    """Frozen wire bytes for device seed 11, session seed 2.
+
+    The hex values were captured from the tuple-of-bits implementation that
+    preceded the int bit vectors; any drift in bit order (LSB-first SRAM
+    bytes, MSB-first nonce, helper and key packing) changes them.
+    """
+
+    def test_auth_reply_and_key_bytes(self, enrolled):
+        dev, record, _ = enrolled
+        token = fresh_token(enrolled, session_seed=2)
+        auth = open_update(protocol.Channel(token), size=64)
+        assert auth.nonce.hex() == "6ef7b228d9632d9e96b3b8e95597b875"
+        assert auth.challenge == 92
+        assert auth.helper.hex() == "02527d55302b66611d15893886a33a"
+        assert token.state.sk.as_bytes().hex() == "b1e8298e365159c5aacb7331c793655c"
+        sk = fuzzy.fe_rec(record.reference_for_challenge(auth.challenge),
+                          fuzzy.HelperData(wire_helper(auth)), fuzzy.default_config())
+        assert sk.as_bytes() == token.state.sk.as_bytes()
+
+    def test_challenge_to_response_value(self, enrolled):
+        dev, record, _ = enrolled
+        r = enroll.challenge_to_response(
+            record.crp_map, 92, puf.readout(dev, 25.0, trial_seed=3).bits
+        )
+        assert r == int(
+            "3aa6396393c6353a333935c69aaab13a39a9d1b14d8b4e1c652e368bc6a587", 16
+        )
