@@ -49,10 +49,9 @@ def load_device(source: str, seed: int) -> puf.PufDevice:
     if source.startswith("dump:"):
         path = source[len("dump:"):]
         try:
-            dump = puf.read_dump(path)
+            return puf.device_from_dump(puf.read_dump(path), seed=seed)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot load dump {path!r}: {exc}") from exc
-        return puf.device_from_dump(dump, seed=seed)
     raise InputError(f"unknown device source {source!r} (synthetic or dump:<path>)")
 
 
@@ -271,17 +270,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     lines = ["# ber_vs_temperature", "temperature_c\traw_ber\tpipeline_ber"]
     layout = enroll.DEFAULT_LAYOUT
-    lo = layout.eligible_start
-    hi = lo + layout.eligible_bytes
-    ref = puf.readout(device, enroll.NOMINAL_TEMP, trial_seed=base).bits
-    ref_region = ref[8 * lo : 8 * hi]
+    lo = 8 * layout.eligible_start
+    hi = lo + layout.eligible_bits
+
+    def eligible(temp: float, trial_seed: int):
+        return puf.readout_cells(device, temp, trial_seed, lo, hi)
+
+    ref_region = eligible(enroll.NOMINAL_TEMP, base)
     for i, temp in enumerate((0.0, 10.0, 25.0, 40.0)):
-        trials = [
-            puf.readout(device, temp, trial_seed=base + 100 * (i + 1) + j).bits[
-                8 * lo : 8 * hi
-            ]
-            for j in range(args.trials)
-        ]
+        trials = [eligible(temp, base + 100 * (i + 1) + j) for j in range(args.trials)]
         raw = puf.ber(ref_region, trials)
         pipe = enroll.measure_pipeline_ber(
             device, record, temperatures=(temp,),
@@ -290,12 +287,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         lines.append(f"{temp:g}\t{raw:.6g}\t{pipe:.6g}")
 
     lines += ["# bias", "stage\tmean_one_prob"]
-    raw_reads = [
-        puf.readout(device, enroll.NOMINAL_TEMP, trial_seed=base + 900 + j).bits[
-            8 * lo : 8 * hi
-        ]
-        for j in range(args.trials)
-    ]
+    raw_reads = [eligible(enroll.NOMINAL_TEMP, base + 900 + j) for j in range(args.trials)]
     raw_bias = puf.bias(raw_reads)
     ones = 0
     for j in range(args.trials):

@@ -187,17 +187,18 @@ def efficiency(crp_map: CrpBlockMap, eligible_bits: int = DEFAULT_LAYOUT.eligibl
 
 
 def challenge_to_response(
-    crp_map: CrpBlockMap, c: int, readout_bits: np.ndarray
+    crp_map: CrpBlockMap, c: int, readout_bits: np.ndarray, first_cell: int = 0
 ) -> int:
     """Resolve a challenge to its block's 248 response bits.
 
     The block index is c modulo the block count; bytes are read in offset
-    order, bits LSB-first within each byte.
+    order, bits LSB-first within each byte. readout_bits holds the cells
+    from first_cell on, so a partial readout of the block's span will do.
     """
     block = crp_map.block_for_challenge(c)
-    cells = (8 * np.array(block.addresses())[:, None] + np.arange(8)).ravel()
+    cells = (8 * np.array(block.addresses())[:, None] + np.arange(8)).ravel() - first_cell
     bits = np.asarray(readout_bits)
-    if cells.max() >= bits.size:
+    if cells.min() < 0 or cells.max() >= bits.size:
         raise ValueError("readout does not cover the mapped region")
     return int.from_bytes(np.packbits(bits[cells], bitorder="little").tobytes(), "little")
 

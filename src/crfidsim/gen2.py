@@ -15,6 +15,8 @@ the register over frame-plus-crc and expects the constant residue.
 
 from __future__ import annotations
 
+import binascii
+import struct
 from dataclasses import dataclass
 
 from .layout import DEFAULT_LAYOUT
@@ -85,30 +87,11 @@ class BitString:
         return ((self.value << pad)).to_bytes((self.length + pad) // 8, "big")
 
 
-def _bs(value: int, length: int) -> BitString:
-    return BitString(value, length)
-
-
-def _make_crc_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        reg = byte << 8
-        for _ in range(8):
-            reg = ((reg << 1) ^ CRC_POLY if reg & 0x8000 else reg << 1) & 0xFFFF
-        table.append(reg)
-    return table
-
-
-_CRC_TABLE = _make_crc_table()
-
-
 def _crc_register(bits: BitString) -> int:
-    reg = CRC_PRESET
+    # whole bytes through binascii's MSB-first CRC-CCITT (poly 0x1021),
+    # then the trailing bits one at a time
     nbytes, rem = divmod(bits.length, 8)
-    v = bits.value >> rem
-    for shift in range(8 * (nbytes - 1), -1, -8):
-        byte = (v >> shift) & 0xFF
-        reg = ((reg << 8) ^ _CRC_TABLE[((reg >> 8) ^ byte) & 0xFF]) & 0xFFFF
+    reg = binascii.crc_hqx((bits.value >> rem).to_bytes(nbytes, "big"), CRC_PRESET)
     for i in range(rem - 1, -1, -1):
         top = ((reg >> 15) ^ (bits.value >> i)) & 1
         reg = (reg << 1) & 0xFFFF
@@ -132,16 +115,14 @@ def ebv_encode(value: int) -> BitString:
     """Extension-bit vector: 7 value bits per byte, big-endian groups."""
     if value < 0:
         raise ValueError("EBV value must be non-negative")
-    groups = [value & 0x7F]
+    out = value & 0x7F
+    length = 8
     value >>= 7
     while value:
-        groups.append(value & 0x7F)
+        out |= (0x80 | value & 0x7F) << length
+        length += 8
         value >>= 7
-    out = BitString()
-    for i, g in enumerate(reversed(groups)):
-        ext = 1 if i < len(groups) - 1 else 0
-        out = out.concat(_bs(ext << 7 | g, 8))
-    return out
+    return BitString(out, length)
 
 
 def _ebv_decode(bits: BitString, pos: int) -> tuple[int, int]:
@@ -194,7 +175,7 @@ class Gen2Frame:
     bits: BitString
 
     def to_hex(self) -> str:
-        return " ".join(f"{b:02x}" for b in self.bits.to_bytes())
+        return self.bits.to_bytes().hex(" ")
 
 
 @dataclass(frozen=True)
@@ -216,10 +197,8 @@ def _raw_fields(cmd: CommandView) -> tuple[int, int, tuple[int, ...]]:
             raise WordPtrRangeError("inner wordptr outside the download area")
         if len(cmd.ciphertext) != 16:
             raise ValueError("ciphertext must be one 128-bit block")
-        ct_words = tuple(
-            int.from_bytes(cmd.ciphertext[i : i + 2], "big") for i in range(0, 16, 2)
-        )
-        return 0, WORDPTR_SECURECOMM, (cmd.inner_wordptr,) + ct_words
+        ct_words = struct.unpack(">8H", cmd.ciphertext)
+        return 0, WORDPTR_SECURECOMM, (cmd.inner_wordptr, *ct_words)
     if isinstance(cmd, TagPrivilege):
         return 0, WORDPTR_TAGPRIVILEGE, (TAGPRIVILEGE_WORD,)
     if isinstance(cmd, BlockWrite):
@@ -241,12 +220,13 @@ def encode(cmd: CommandView, rn: int) -> Gen2Frame:
     if not 0 <= rn <= 0xFFFF:
         raise ValueError("rn must be 16-bit")
     membank, wordptr, words = _raw_fields(cmd)
-    body = _bs(CMD_BLOCKWRITE, 8).concat(_bs(membank, 2)).concat(ebv_encode(wordptr))
-    body = body.concat(_bs(len(words), 8))
-    for w in words:
-        body = body.concat(_bs(w, 16))
-    body = body.concat(_bs(rn, 16))
-    return Gen2Frame(bits=body.concat(_bs(crc16(body), 16)))
+    ptr = ebv_encode(wordptr)
+    n = len(words)
+    data = int.from_bytes(struct.pack(f">{n}H", *words), "big")
+    value = (CMD_BLOCKWRITE << 2 | membank) << ptr.length | ptr.value
+    value = ((value << 8 | n) << 16 * n | data) << 16 | rn
+    body = BitString(value, 8 + 2 + ptr.length + 8 + 16 * n + 16)
+    return Gen2Frame(bits=BitString(value << 16 | crc16(body), body.length + 16))
 
 
 def parse_fields(frame: Gen2Frame) -> FrameFields:
@@ -266,7 +246,8 @@ def parse_fields(frame: Gen2Frame) -> FrameFields:
     pos += 8
     if pos + 16 * wordcount + 32 != bits.length:
         raise FrameFormatError("wordcount disagrees with frame length")
-    words = tuple(bits.field(pos + 16 * i, 16) for i in range(wordcount))
+    data = bits.field(pos, 16 * wordcount).to_bytes(2 * wordcount, "big")
+    words = struct.unpack(f">{wordcount}H", data)
     pos += 16 * wordcount
     return FrameFields(
         membank=membank,
@@ -289,8 +270,7 @@ def decode(frame: Gen2Frame) -> CommandView:
         inner = f.words[0]
         if inner >= DOWNLOAD_WORDS:
             raise WordPtrRangeError("inner wordptr outside the download area")
-        ct = b"".join(w.to_bytes(2, "big") for w in f.words[1:])
-        return SecureComm(inner_wordptr=inner, ciphertext=ct)
+        return SecureComm(inner_wordptr=inner, ciphertext=struct.pack(">8H", *f.words[1:]))
     if f.membank == 0 and f.wordptr == WORDPTR_TAGPRIVILEGE:
         if f.words != (TAGPRIVILEGE_WORD,):
             raise UnknownDiscriminatorError("malformed privilege command")

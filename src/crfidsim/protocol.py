@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import enum
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -296,8 +297,11 @@ def token_boot(
     c_bits = puf.trng_next(device, 8, trial_seed=4 * boot_seed + 1,
                            temperature=temperature)
     challenge = int(np.packbits(c_bits)[0])
-    sample = puf.readout(device, temperature, trial_seed=4 * boot_seed + 2)
-    r = enroll.challenge_to_response(nvm.crp_map, challenge, sample.bits)
+    # power-up values of the challenged block's span only, first byte to last
+    addresses = nvm.crp_map.block_for_challenge(challenge).addresses()
+    lo, hi = 8 * min(addresses), 8 * (max(addresses) + 1)
+    cells = puf.readout_cells(device, temperature, 4 * boot_seed + 2, lo, hi)
+    r = enroll.challenge_to_response(nvm.crp_map, challenge, cells, first_cell=lo)
     sk, helper = fuzzy.fe_gen(r, FE_CONFIG)
     mode = TokenMode.KEY_READY if nvm.firmware_update_flag else TokenMode.USER_CODE
     return TokenState(
@@ -395,8 +399,9 @@ def token_handle(state: TokenState, frame: gen2.Gen2Frame) -> tuple[TokenState, 
         if view.wordptr + len(view.words) > area_words:
             return _reject(state, ErrorCode.BAD_WORDPTR)
         off = 2 * view.wordptr
-        for i, w in enumerate(view.words):
-            state.nvm.download_area[off + 2 * i : off + 2 * i + 2] = w.to_bytes(2, "big")
+        state.nvm.download_area[off : off + 2 * len(view.words)] = struct.pack(
+            f">{len(view.words)}H", *view.words
+        )
         return state, Ack("chunk")
 
     if isinstance(view, gen2.SecureComm):

@@ -149,12 +149,15 @@ def temp_scale(device: PufDevice, temperature: float) -> float:
     return float(np.interp(temperature, xs, ys))
 
 
-def _temperature_probs(device: PufDevice, temperature: float) -> np.ndarray:
+def _temperature_probs(
+    device: PufDevice, temperature: float, lo: int, hi: int
+) -> np.ndarray:
+    """One-probabilities of cells lo..hi-1 at the given temperature."""
     if not TEMP_MIN <= temperature <= TEMP_MAX:
         raise TemperatureRangeError(
             f"temperature {temperature} outside model range [{TEMP_MIN}, {TEMP_MAX}]"
         )
-    p = device.cell_one_prob
+    p = device.cell_one_prob[lo:hi]
     prefers_one = p >= 0.5
     flip = np.where(prefers_one, 1.0 - p, p)
     flip = np.minimum(flip * temp_scale(device, temperature), 0.5)
@@ -166,11 +169,32 @@ def _trial_rng(device: PufDevice, trial_seed: int, temperature: float) -> np.ran
     return np.random.default_rng([device.rng_seed, trial_seed, temp_key])
 
 
+def _sample(
+    device: PufDevice, probs: np.ndarray, temperature: float, trial_seed: int, lo: int
+) -> np.ndarray:
+    """Power-up values of cells lo..lo+len(probs)-1 of one trial.
+
+    PCG64 spends one 64-bit step per float64, so advancing the stream by
+    lo steps skips exactly the draws of the cells below lo.
+    """
+    rng = _trial_rng(device, trial_seed, temperature)
+    rng.bit_generator.advance(lo)
+    return (rng.random(probs.size) < probs).astype(np.uint8)
+
+
+def readout_cells(
+    device: PufDevice, temperature: float, trial_seed: int, lo: int, hi: int
+) -> np.ndarray:
+    """Cells lo..hi-1 of a power-up sample; equal to readout(...).bits[lo:hi]."""
+    if not 0 <= lo < hi <= device.num_cells:
+        raise ValueError(f"cell range {lo}..{hi} outside 0..{device.num_cells}")
+    probs = _temperature_probs(device, temperature, lo, hi)
+    return _sample(device, probs, temperature, trial_seed, lo)
+
+
 def readout(device: PufDevice, temperature: float, trial_seed: int) -> Readout:
     """One full-array power-up sample at the given temperature."""
-    probs = _temperature_probs(device, temperature)
-    rng = _trial_rng(device, trial_seed, temperature)
-    bits = (rng.random(device.num_cells) < probs).astype(np.uint8)
+    bits = readout_cells(device, temperature, trial_seed, 0, device.num_cells)
     return Readout(bits=bits, temperature=temperature)
 
 
@@ -242,12 +266,11 @@ def trng_next(
             f"TRNG region of {region} cells cannot feed a {fold}-bit fold"
         )
     per_cycle = region // fold
-    probs = _temperature_probs(device, temperature)[:region]
+    probs = _temperature_probs(device, temperature, 0, region)
     out = np.empty(0, dtype=np.uint8)
     cycle = 0
     while out.size < nbits:
-        rng = _trial_rng(device, trial_seed * 65536 + cycle, temperature)
-        cells = (rng.random(region) < probs).astype(np.uint8)
+        cells = _sample(device, probs, temperature, trial_seed * 65536 + cycle, 0)
         folded = cells[: per_cycle * fold].reshape(per_cycle, fold).sum(axis=1) % 2
         out = np.concatenate([out, folded.astype(np.uint8)])
         cycle += 1
@@ -270,11 +293,10 @@ def trng_health(
     """
     region = device.trng_region_cells
     per_cycle = region // fold
-    probs = _temperature_probs(device, 25.0)[:region]
+    probs = _temperature_probs(device, 25.0, 0, region)
     acc = np.zeros(per_cycle, dtype=np.int64)
     for c in range(cycles):
-        rng = _trial_rng(device, (trial_seed + 1) * 131072 + c, 25.0)
-        cells = (rng.random(region) < probs).astype(np.uint8)
+        cells = _sample(device, probs, 25.0, (trial_seed + 1) * 131072 + c, 0)
         folded = cells[: per_cycle * fold].reshape(per_cycle, fold).sum(axis=1) % 2
         acc += folded.astype(np.int64)
     freq = acc / cycles
@@ -305,17 +327,24 @@ def read_dump(path: str) -> DumpSet:
     with open(path, "rb") as fh:
         data = fh.read()
     buf = io.BytesIO(data)
-    magic = buf.read(4)
-    if magic != DUMP_MAGIC:
+
+    def take(nbytes: int, what: str) -> bytes:
+        chunk = buf.read(nbytes)
+        if len(chunk) != nbytes:
+            raise ValueError(f"truncated dump: {what} needs {nbytes} bytes, "
+                             f"{len(chunk)} left")
+        return chunk
+
+    if buf.read(4) != DUMP_MAGIC:
         raise ValueError("not a dump file (bad magic)")
-    version, device_id, cells, count = struct.unpack("<BIIH", buf.read(11))
+    version, device_id, cells, count = struct.unpack("<BIIH", take(11, "header"))
     if version != DUMP_VERSION:
         raise ValueError(f"unsupported dump version {version}")
     nbytes = (cells + 7) // 8
     out = DumpSet(device_id=device_id)
-    for _ in range(count):
-        (centi,) = struct.unpack("<h", buf.read(2))
-        packed = np.frombuffer(buf.read(nbytes), dtype=np.uint8)
+    for i in range(count):
+        (centi,) = struct.unpack("<h", take(2, f"readout {i} temperature"))
+        packed = np.frombuffer(take(nbytes, f"readout {i} bits"), dtype=np.uint8)
         bits = np.unpackbits(packed, bitorder="little")[:cells]
         out.readouts.append(Readout(bits=bits, temperature=centi / 100.0))
     if buf.read(1):

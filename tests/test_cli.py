@@ -1,5 +1,7 @@
 """Subcommand behavior, exit codes, and output formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,26 @@ class TestEnroll:
         assert code == 3
         assert "error:" in cap.err
         assert "Traceback" not in cap.err
+
+    @pytest.mark.parametrize("keep", ["header", "last_readout"])
+    def test_truncated_dump_clean_error(self, capsys, tmp_path, keep):
+        device = puf.synth_device(seed=6)
+        dump = puf.collect_dump(device, 6, temperatures=(25.0,), readouts_per_temp=2)
+        path = tmp_path / "cut.dump"
+        puf.write_dump(str(path), dump)
+        data = path.read_bytes()
+        path.write_bytes(data[:10] if keep == "header" else data[:-100])
+        code, cap = run_cli(capsys, "enroll", "--device", f"dump:{path}")
+        assert code == 3
+        assert "truncated" in cap.err or "bad magic" in cap.err
+        assert "Traceback" not in cap.err
+
+    def test_dump_without_readouts_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "none.dump"
+        path.write_bytes(puf.DUMP_MAGIC + struct.pack("<BIIH", puf.DUMP_VERSION, 1, 64, 0))
+        code, cap = run_cli(capsys, "enroll", "--device", f"dump:{path}")
+        assert code == 3
+        assert "empty dump set" in cap.err
 
     def test_batch_requires_synthetic(self, capsys, tmp_path):
         path = tmp_path / "x.dump"

@@ -205,6 +205,19 @@ class TestChallengeToResponse:
         with pytest.raises(ValueError):
             enroll.challenge_to_response(m, 1, np.zeros(64, dtype=np.uint8))
 
+    def test_window_from_first_cell_matches_full_readout(self):
+        m = self.make_map()
+        bits = np.random.default_rng(0).integers(0, 2, CELLS, dtype=np.uint8)
+        lo, hi = 8 * 200, 8 * 231
+        window = enroll.challenge_to_response(m, 1, bits[lo:hi], first_cell=lo)
+        assert window == enroll.challenge_to_response(m, 1, bits)
+
+    @pytest.mark.parametrize("lo,hi", [(8 * 201, 8 * 231), (8 * 200, 8 * 230)])
+    def test_window_missing_block_bytes_rejected(self, lo, hi):
+        m = self.make_map()
+        with pytest.raises(ValueError):
+            enroll.challenge_to_response(m, 1, base_bits()[lo:hi], first_cell=lo)
+
 
 @pytest.fixture(scope="module")
 def enrolled():

@@ -104,6 +104,86 @@ class TestEbv:
         assert got == value and pos == len(enc)
 
 
+# ------------------------------------------------ per-word reference encoder
+
+def ref_ebv(value: int) -> gen2.BitString:
+    groups = [value & 0x7F]
+    value >>= 7
+    while value:
+        groups.append(value & 0x7F)
+        value >>= 7
+    out = gen2.BitString()
+    for i, g in enumerate(reversed(groups)):
+        ext = 1 if i < len(groups) - 1 else 0
+        out = out.concat(gen2.BitString(ext << 7 | g, 8))
+    return out
+
+
+def ref_fields(cmd) -> tuple[int, int, tuple[int, ...]]:
+    if isinstance(cmd, gen2.Authenticate):
+        return 0, 0x03, (cmd.csi,)
+    if isinstance(cmd, gen2.SecureComm):
+        ct = cmd.ciphertext
+        return 0, 0x7D, (cmd.inner_wordptr,) + tuple(
+            int.from_bytes(ct[i : i + 2], "big") for i in range(0, 16, 2)
+        )
+    if isinstance(cmd, gen2.TagPrivilege):
+        return 0, 0x7E, (0x0001,)
+    return cmd.membank, cmd.wordptr, tuple(cmd.words)
+
+
+def ref_encode(cmd, rn: int) -> gen2.BitString:
+    """Frame bits built one BitString.concat per field and per word, with a
+    bit-serial CRC."""
+    membank, wordptr, words = ref_fields(cmd)
+    body = gen2.BitString(gen2.CMD_BLOCKWRITE, 8).concat(gen2.BitString(membank, 2))
+    body = body.concat(ref_ebv(wordptr)).concat(gen2.BitString(len(words), 8))
+    for w in words:
+        body = body.concat(gen2.BitString(w, 16))
+    body = body.concat(gen2.BitString(rn, 16))
+    crc = ref_crc_register(bit_list(body)) ^ 0xFFFF
+    return body.concat(gen2.BitString(crc, 16))
+
+
+wide_block_writes = st.builds(
+    gen2.BlockWrite,
+    membank=st.integers(0, 3),
+    # 1 to 5 EBV groups
+    wordptr=st.one_of(st.integers(0, 0x7F), st.integers(0x80, 1 << 28)),
+    words=st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=gen2.MAX_WORDS).map(tuple),
+).filter(lambda c: not (c.membank == 0 and c.wordptr in gen2._RESERVED_BANK0_PTRS))
+
+command_views = st.one_of(
+    wide_block_writes,
+    st.builds(gen2.Authenticate, csi=st.integers(0, 0xFF)),
+    st.builds(gen2.SecureComm, inner_wordptr=st.integers(0, gen2.DOWNLOAD_WORDS - 1),
+              ciphertext=st.binary(min_size=16, max_size=16)),
+    st.just(gen2.TagPrivilege()),
+)
+
+
+class TestEncoderMatchesReference:
+    @given(command_views, st.integers(0, 0xFFFF))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_and_fields(self, cmd, rn):
+        frame = gen2.encode(cmd, rn)
+        want = ref_encode(cmd, rn)
+        assert frame.bits == want
+        membank, wordptr, words = ref_fields(cmd)
+        fields = gen2.parse_fields(frame)
+        assert (fields.membank, fields.wordptr, fields.words, fields.rn) == (
+            membank, wordptr, words, rn
+        )
+        assert fields.crc == want.field(len(want) - 16, 16)
+        assert frame.to_hex() == " ".join(f"{b:02x}" for b in want.to_bytes())
+
+    @pytest.mark.parametrize("wordptr", [0x7F, 0x80, 0x3FFF, 0x4000, 1 << 21, (1 << 28) + 3])
+    def test_ebv_group_boundaries(self, wordptr):
+        assert gen2.ebv_encode(wordptr) == ref_ebv(wordptr)
+        cmd = gen2.BlockWrite(membank=3, wordptr=wordptr, words=(0xFFFF,) * 255)
+        assert gen2.encode(cmd, 0xFFFF).bits == ref_encode(cmd, 0xFFFF)
+
+
 block_writes = st.builds(
     gen2.BlockWrite,
     membank=st.integers(0, 3),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crfidsim import puf
 from crfidsim.layout import DEFAULT_LAYOUT
@@ -54,6 +56,44 @@ def test_readout_temperature_range():
         puf.readout(dev, -40.0, trial_seed=0)
     with pytest.raises(puf.TemperatureRangeError):
         puf.readout(dev, 95.0, trial_seed=0)
+
+
+@given(
+    device_seed=st.integers(0, 2**32 - 1),
+    temperature=st.floats(puf.TEMP_MIN, puf.TEMP_MAX),
+    trial_seed=st.integers(0, 2**40),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_readout_cells_equals_readout_window(device_seed, temperature, trial_seed, data):
+    dev = puf.synth_device(seed=device_seed, num_cells=2048, trng_region_cells=256)
+    lo = data.draw(st.integers(0, dev.num_cells - 1), label="lo")
+    hi = data.draw(st.integers(lo + 1, dev.num_cells), label="hi")
+    full = puf.readout(dev, temperature, trial_seed).bits
+    window = puf.readout_cells(dev, temperature, trial_seed, lo, hi)
+    assert window.dtype == full.dtype
+    assert np.array_equal(window, full[lo:hi])
+
+
+def test_readout_cells_full_size_device_window():
+    dev = puf.synth_device(seed=12)
+    full = puf.readout(dev, 33.3, trial_seed=77).bits
+    lo, hi = 8 * 300, 8 * 611
+    assert np.array_equal(puf.readout_cells(dev, 33.3, 77, lo, hi), full[lo:hi])
+
+
+@pytest.mark.parametrize("lo,hi", [(5, 5), (0, 0), (9, 3), (-1, 10), (-8, -2),
+                                   (0, 513), (512, 513), (600, 700)])
+def test_readout_cells_rejects_bad_range(lo, hi):
+    dev = puf.synth_device(seed=13, num_cells=512, trng_region_cells=64)
+    with pytest.raises(ValueError):
+        puf.readout_cells(dev, 25.0, 0, lo, hi)
+
+
+def test_readout_cells_temperature_range():
+    dev = puf.synth_device(seed=2)
+    with pytest.raises(puf.TemperatureRangeError):
+        puf.readout_cells(dev, 95.0, 0, 0, 8)
 
 
 def test_temp_scale_nominal_is_one():
@@ -188,6 +228,21 @@ def test_dump_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError):
         puf.read_dump(str(path))
+
+
+def test_dump_truncated_at_every_offset_rejected(tmp_path):
+    dev = puf.synth_device(seed=32, num_cells=60, trng_region_cells=16)
+    dump = puf.collect_dump(dev, device_id=4, temperatures=[0.0, 25.0],
+                            readouts_per_temp=1)
+    path = tmp_path / "full.spuf"
+    puf.write_dump(str(path), dump)
+    data = path.read_bytes()
+    assert len(data) == 4 + 11 + 2 * (2 + 8)
+    cut = tmp_path / "cut.spuf"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(ValueError):
+            puf.read_dump(str(cut))
 
 
 def test_device_from_dump_reproduces_stable_cells():
