@@ -77,6 +77,43 @@ def parse_code(text: str) -> bch.BchParams:
         raise argparse.ArgumentTypeError(f"bad code {text!r}: {exc}") from exc
 
 
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def tamper_rule(text: str) -> tuple[str, int | None]:
+    """Split a --tamper rule into (policy, index).
+
+    chunk:<i> and drop:<frame> must carry an integer index; any other rule
+    comes back whole with no index. Policy names and index ranges are
+    checked against the image in parse_tamper.
+    """
+    kind, sep, index = text.partition(":")
+    if not (sep and kind in ("chunk", "drop")):
+        return text, None
+    try:
+        return kind, int(index)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad index in tamper rule {text!r}") from None
+
+
 def fe_config_from(args: argparse.Namespace) -> fuzzy.FeConfig:
     return fuzzy.FeConfig(code=args.code, blocks=args.blocks)
 
@@ -130,31 +167,32 @@ def chunk_frame_count(image: protocol.FirmwareImage) -> int:
     return math.ceil(words / CHUNK_WORDS)
 
 
-def parse_tamper(rule: str, image: protocol.FirmwareImage) -> tuple[
+def parse_tamper(rule: tuple[str, int | None],
+                 image: protocol.FirmwareImage) -> tuple[
     TamperPolicy, int | None
 ]:
     """Returns (drop/flip policy, index of the frame to mutate in-protocol).
 
-    Mutation rewrites a frame's payload and re-frames it with a valid
-    CRC (an active relay), so the token answers instead of staying
-    silent on a checksum error.
+    rule is a (policy, index) pair as split by tamper_rule. Mutation
+    rewrites a frame's payload and re-frames it with a valid CRC (an active
+    relay), so the token answers instead of staying silent on a checksum
+    error.
     """
+    kind, idx = rule
     last = 3 + chunk_frame_count(image)   # privilege, setup, auth, chunks...
-    if rule == "none":
-        return TamperPolicy(), None
-    if rule == "mac":
-        return TamperPolicy(), last
-    if rule.startswith("chunk:"):
-        idx = int(rule.split(":", 1)[1])
+    if idx is None:
+        if kind == "none":
+            return TamperPolicy(), None
+        if kind == "mac":
+            return TamperPolicy(), last
+        raise InputError(f"unknown tamper policy {kind!r}")
+    if kind == "chunk":
         if not 0 <= idx < chunk_frame_count(image):
-            raise InputError(f"chunk index out of range in {rule!r}")
+            raise InputError(f"chunk index out of range in 'chunk:{idx}'")
         return TamperPolicy(), 3 + idx
-    if rule.startswith("drop:"):
-        idx = int(rule.split(":", 1)[1])
-        if not 0 <= idx <= last:
-            raise InputError(f"frame index out of range in {rule!r}")
-        return TamperPolicy(drops=frozenset({idx})), None
-    raise InputError(f"unknown tamper policy {rule!r}")
+    if not 0 <= idx <= last:
+        raise InputError(f"frame index out of range in 'drop:{idx}'")
+    return TamperPolicy(drops=frozenset({idx})), None
 
 
 def mutate_payload(frame: Gen2Frame) -> Gen2Frame:
@@ -367,18 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_enroll = sub.add_parser("enroll", help="build challenge maps and report "
                                              "extraction efficiency")
     common(p_enroll)
-    p_enroll.add_argument("--devices", type=int, default=1)
+    p_enroll.add_argument("--devices", type=positive_int, default=1)
     p_enroll.set_defaults(func=cmd_enroll)
 
     p_update = sub.add_parser("update", help="run end-to-end update sessions")
     common(p_update)
     p_update.add_argument("--image", default="blinky",
                           help="blinky, sense, boot-shim, or a file path")
-    p_update.add_argument("--distance-cm", type=float, default=None)
+    p_update.add_argument("--distance-cm", type=positive_float, default=None)
     p_update.add_argument("--sleep-ms", type=float, default=0,
                           choices=powersim.SLEEP_CHOICES)
-    p_update.add_argument("--trials", type=int, default=1)
-    p_update.add_argument("--tamper", default="none",
+    p_update.add_argument("--trials", type=positive_int, default=1)
+    p_update.add_argument("--tamper", type=tamper_rule, default="none",
                           help="none, mac, chunk:<i>, or drop:<frame>")
     p_update.set_defaults(func=cmd_update)
 
@@ -387,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_analyze)
     p_analyze.add_argument("--code", type=parse_code,
                            default=bch.make_code(31, 16, 3))
-    p_analyze.add_argument("--blocks", type=int, default=8)
-    p_analyze.add_argument("--trials", type=int, default=5)
+    p_analyze.add_argument("--blocks", type=positive_int, default=8)
+    p_analyze.add_argument("--trials", type=positive_int, default=5)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_attack = sub.add_parser("attack", help="helper-data coset demonstration")

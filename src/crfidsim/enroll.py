@@ -33,7 +33,8 @@ class EmptyRegionError(ValueError):
 
 
 class InsufficientMaterialError(ValueError):
-    """Not enough winnowed bytes for even one CRP block."""
+    """Not enough material for even one CRP block: too few winnowed bytes,
+    or readouts that do not cover the eligible region."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def _byte_matrix(readouts: Sequence[puf.Readout], layout: MemoryLayout) -> np.nd
     for r in readouts:
         bits = r.bits[8 * start : 8 * (start + nbytes)]
         if bits.size != 8 * nbytes:
-            raise ValueError("readout does not cover the eligible region")
+            raise InsufficientMaterialError("readout does not cover the eligible region")
         rows.append(bits.reshape(nbytes, 8))
     return np.stack(rows)
 

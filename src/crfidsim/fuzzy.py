@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -157,27 +158,31 @@ def coset_candidates(h: HelperData, cfg: FeConfig) -> Iterator[int]:
 
 
 # -------------------------------------------------------- Monte-Carlo kernel
+#
+# By linearity the enrolled response r drops out of a session's outcome.
+# The device publishes syn(r ^ e); the prover's syndrome delta is
+# syn(r) ^ syn(r ^ e) = syn(e), so it corrects r by leader = leaders[syn(e)]
+# and derives (r ^ leader) >> (n-k), while the device keeps (r ^ e) >> (n-k).
+# The keys agree iff (leader ^ e) >> (n-k) == 0 in every block, whatever r
+# is; the kernel therefore draws only the error masks e.
 
 @dataclass(frozen=True)
 class DecodeTables:
-    """Vectorized decoding aids derived from the scalar codec."""
+    """Read-only decoding aids derived from the scalar codec."""
 
-    parity: np.ndarray        # (n, n-k) uint8, row i = syndrome of unit i
-    leaders: np.ndarray       # (2^(n-k),) int64 coset-leader bitmask, -1 if none
-    info: np.ndarray          # (k,) info positions
-    powers: np.ndarray        # (n-k,) uint64 bit weights for syndrome indexing
+    leaders: np.ndarray         # (2^(n-k),) int64 coset-leader bitmask, -1 if none
+    syndrome_bytes: np.ndarray  # (ceil(n/8), 256) int32, [j, b] = syndrome of b << 8j
 
 
 def build_decode_tables(code: bch.BchParams) -> DecodeTables:
     nk = code.n - code.k
     if nk > 20:
         raise ValueError("coset-leader table too large for this code")
-    parity = np.zeros((code.n, nk), dtype=np.uint8)
-    row_ints = []
-    for i in range(code.n):
-        s = bch.syndrome(1 << i, code)
-        parity[i] = [(s >> j) & 1 for j in range(nk)]
-        row_ints.append(s)
+    unit = [bch.syndrome(1 << i, code) for i in range(code.n)]
+    syndrome_bytes = np.zeros(((code.n + 7) // 8, 256), dtype=np.int32)
+    for i, s in enumerate(unit):
+        j, bit = divmod(i, 8)
+        syndrome_bytes[j, (np.arange(256) >> bit) & 1 == 1] ^= s
     leaders = np.full(1 << nk, -1, dtype=np.int64)
     leaders[0] = 0
     for weight in range(1, code.t + 1):
@@ -185,44 +190,64 @@ def build_decode_tables(code: bch.BchParams) -> DecodeTables:
             idx = 0
             mask = 0
             for p in positions:
-                idx ^= row_ints[p]
+                idx ^= unit[p]
                 mask |= 1 << p
             # distance 2t+1 guarantees distinct syndromes up to weight t
             assert leaders[idx] == -1
             leaders[idx] = mask
-    return DecodeTables(
-        parity=parity,
-        leaders=leaders,
-        info=np.array(code.info_positions, dtype=np.int64),
-        powers=(np.uint64(1) << np.arange(nk, dtype=np.uint64)),
-    )
+    leaders.flags.writeable = False
+    syndrome_bytes.flags.writeable = False
+    return DecodeTables(leaders=leaders, syndrome_bytes=syndrome_bytes)
 
 
-def run_sessions(
-    r: np.ndarray, e: np.ndarray, cfg: FeConfig, tables: DecodeTables | None = None
-) -> np.ndarray:
-    """Vectorized fe_gen/fe_rec outcome for pre-drawn inputs.
+@lru_cache(maxsize=None)
+def _decode_tables(code: bch.BchParams) -> DecodeTables:
+    return build_decode_tables(code)
 
-    r, e: uint8 arrays of shape (sessions, blocks, n); r is the enrolled
-    response, r^e the device readout. Returns a bool array marking sessions
-    whose recovery failed or produced a key different from the device's.
+
+def error_masks(rng: np.random.Generator, shape: tuple[int, ...], n: int,
+                ber: float) -> np.ndarray:
+    """Int64 n-bit masks whose bits are iid Bernoulli(ber), one per element of shape.
+
+    The error positions over all prod(shape) * n bits are drawn sparsely, as
+    geometric gaps between consecutive errors, which is the same
+    distribution as one Bernoulli draw per bit.
     """
-    if tables is None:
-        tables = build_decode_tables(cfg.code)
-    readout = r ^ e
-    helper = (readout.astype(np.uint8) @ tables.parity) & 1   # device side
-    key_dev = readout[:, :, tables.info]
-    s_prime = (r.astype(np.uint8) @ tables.parity) & 1        # prover side
-    delta = (s_prime ^ helper).astype(np.uint64)
-    idx = (delta * tables.powers).sum(axis=2)
-    masks = tables.leaders[idx.astype(np.int64)]
-    undecodable = (masks == -1).any(axis=1)
-    bitpos = np.arange(cfg.code.n, dtype=np.uint64)
-    errbits = ((masks[:, :, None].astype(np.uint64) >> bitpos) & 1).astype(np.uint8)
-    corrected = r ^ errbits
-    key_rec = corrected[:, :, tables.info]
-    mismatch = (key_rec != key_dev).any(axis=(1, 2))
-    return undecodable | mismatch
+    masks = np.zeros(math.prod(shape), dtype=np.int64)
+    total = masks.size * n
+    expected = total * ber
+    start = 0
+    while ber > 0 and start < total:
+        chunk = int(expected + 6 * math.sqrt(expected)) + 64
+        # a gap past the end ends the draw; clipping keeps the sums from overflowing
+        gaps = np.minimum(rng.geometric(ber, size=chunk), total + 1)
+        pos = start - 1 + np.cumsum(gaps)
+        start = int(pos[-1]) + 1
+        row, bit = np.divmod(pos[pos < total], n)
+        np.add.at(masks, row, np.left_shift(1, bit))  # positions are distinct
+    return masks.reshape(shape)
+
+
+def run_sessions(e: np.ndarray, cfg: FeConfig) -> np.ndarray:
+    """Vectorized fe_gen/fe_rec outcome for pre-drawn device errors.
+
+    e: int64 array of shape (sessions, blocks), the n-bit error mask of each
+    block (the device reads r ^ e for an enrolled r). Returns a bool array
+    marking sessions whose recovery failed or produced a key different from
+    the device's.
+    """
+    tables = _decode_tables(cfg.code)
+    # byte j of every mask, read in place through a little-endian byte view
+    octets = np.ascontiguousarray(e, dtype="<i8").view(np.uint8).reshape(e.shape + (8,))
+    syn = tables.syndrome_bytes[0].take(octets[..., 0])
+    for j in range(1, len(tables.syndrome_bytes)):
+        syn ^= tables.syndrome_bytes[j].take(octets[..., j])
+    # the key bits of leader ^ e must be 0; a missing leader (-1) xors to a
+    # negative number, which fails that test too
+    wrong = tables.leaders.take(syn)
+    wrong ^= e
+    wrong >>= cfg.code.n - cfg.code.k
+    return wrong.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -238,16 +263,21 @@ class McResult:
 def mc_key_failure(
     ber: float, cfg: FeConfig, sessions: int, seed: int, batch_size: int = 100_000
 ) -> McResult:
-    """Empirical key-failure rate over simulated fe_gen/fe_rec sessions."""
-    tables = build_decode_tables(cfg.code)
+    """Empirical key-failure rate over simulated fe_gen/fe_rec sessions.
+
+    Raises ValueError for a ber outside [0, 1] (NaN included) and for fewer
+    than one session or a batch of fewer than one session.
+    """
+    if not 0.0 <= ber <= 1.0:
+        raise ValueError("ber must be in [0, 1]")
+    if sessions < 1 or batch_size < 1:
+        raise ValueError("sessions and batch_size must be at least 1")
     rng = np.random.default_rng(seed)
     failures = 0
     remaining = sessions
     while remaining > 0:
         b = min(batch_size, remaining)
-        shape = (b, cfg.blocks, cfg.code.n)
-        r = rng.integers(0, 2, size=shape, dtype=np.uint8)
-        e = (rng.random(size=shape) < ber).astype(np.uint8)
-        failures += int(run_sessions(r, e, cfg, tables).sum())
+        e = error_masks(rng, (b, cfg.blocks), cfg.code.n, ber)
+        failures += int(run_sessions(e, cfg).sum())
         remaining -= b
     return McResult(sessions=sessions, failures=failures)

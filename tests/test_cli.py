@@ -93,6 +93,16 @@ class TestEnroll:
         assert code == 3
         assert "empty dump set" in cap.err
 
+    def test_dump_smaller_than_eligible_region_clean_error(self, capsys, tmp_path):
+        device = puf.PufDevice(num_cells=512, cell_one_prob=np.full(512, 0.5), rng_seed=4)
+        path = tmp_path / "small.dump"
+        puf.write_dump(str(path), puf.collect_dump(device, 4, temperatures=(25.0,),
+                                                   readouts_per_temp=2))
+        code, cap = run_cli(capsys, "enroll", "--device", f"dump:{path}")
+        assert code == 3
+        assert "does not cover the eligible region" in cap.err
+        assert "Traceback" not in cap.err
+
     def test_batch_requires_synthetic(self, capsys, tmp_path):
         path = tmp_path / "x.dump"
         path.write_bytes(b"")
@@ -288,6 +298,25 @@ class TestAttack:
         _, a = run_cli(capsys, "attack", "--seed", "9")
         _, b = run_cli(capsys, "attack", "--seed", "9")
         assert a.out == b.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["update", "--distance-cm", "0"],
+    ["update", "--distance-cm", "-5"],
+    ["update", "--distance-cm", "nan"],
+    ["update", "--tamper", "chunk:abc"],
+    ["update", "--tamper", "drop:"],
+    ["update", "--trials", "0"],
+    ["enroll", "--devices", "0"],
+    ["enroll", "--devices", "two"],
+    ["analyze", "--blocks", "0"],
+    ["analyze", "--trials", "0"],
+])
+def test_bad_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_exit_code_map_is_total():

@@ -5,6 +5,7 @@ script (Fraction-based binomial CDF, direct log2 evaluation) before being
 pinned here.
 """
 
+import math
 import random
 import time
 
@@ -219,7 +220,10 @@ def test_vectorized_kernel_matches_scalar_api():
     r = rng.integers(0, 2, size=shape, dtype=np.uint8)
     # mixed noise: mostly light, some blocks pushed past t
     e = (rng.random(size=shape) < 0.03).astype(np.uint8)
-    failed_vec = fuzzy.run_sessions(r, e, cfg)
+    # the kernel sees only the error masks; the scalar side keeps a random
+    # enrolled response, so agreement shows that r cancels out
+    masks = (e.astype(np.int64) << np.arange(cfg.code.n)).sum(axis=2)
+    failed_vec = fuzzy.run_sessions(masks, cfg)
     for s in range(sessions):
         enrolled = sum(int(b) << i for i, b in enumerate(r[s].reshape(-1)))
         readout = sum(int(b) << i for i, b in enumerate((r[s] ^ e[s]).reshape(-1)))
@@ -230,6 +234,80 @@ def test_vectorized_kernel_matches_scalar_api():
         except fuzzy.KeyRecoveryFailure:
             scalar_failed = True
         assert scalar_failed == bool(failed_vec[s]), f"session {s}"
+
+
+@pytest.mark.parametrize("n,ber", [(31, 0.0094), (31, 0.2), (31, 0.8), (63, 0.2)])
+def test_error_masks_are_bernoulli(n, ber):
+    rows = 40_000
+    masks = fuzzy.error_masks(np.random.default_rng(5), (rows, 4), n, ber)
+    assert masks.shape == (rows, 4) and masks.dtype == np.int64
+    assert ((masks >= 0) & (masks < 1 << n)).all()
+    blocks = masks.reshape(-1)
+    bits = (blocks[:, None] >> np.arange(n)) & 1
+    # every position errs with probability ber ...
+    se = np.sqrt(ber * (1 - ber) / blocks.size)
+    assert np.abs(bits.mean(axis=0) - ber).max() < 5 * se
+    # ... and a block's weight is Binomial(n, ber)
+    counts = np.bincount(bits.sum(axis=1), minlength=n + 1)
+    pmf = np.array([math.comb(n, w) * ber**w * (1 - ber) ** (n - w) for w in range(n + 1)])
+    expected = blocks.size * pmf
+    se_counts = np.sqrt(blocks.size * pmf * (1 - pmf))
+    assert (np.abs(counts - expected) <= 5 * se_counts).all()
+
+
+def test_error_masks_every_position_of_a_call_can_err():
+    # one block per call, so the first and last bit of every call are counted
+    rng = np.random.default_rng(6)
+    masks = np.concatenate([fuzzy.error_masks(rng, (1,), 31, 0.3) for _ in range(2000)])
+    bits = (masks[:, None] >> np.arange(31)) & 1
+    se = math.sqrt(0.3 * 0.7 / masks.size)
+    assert np.abs(bits.mean(axis=0) - 0.3).max() < 5 * se
+
+
+@pytest.mark.parametrize("ber", [0.005, 0.0094, 0.02, 0.04])
+def test_mc_key_failure_matches_analytic_sweep(ber):
+    cfg = fuzzy.default_config()
+    res = fuzzy.mc_key_failure(ber, cfg, sessions=200_000, seed=31)
+    p = fuzzy.key_failure_prob(ber, cfg)
+    se = (p * (1 - p) / res.sessions) ** 0.5
+    assert abs(res.rate - p) < 4 * se
+
+
+@pytest.mark.parametrize("ber", [-0.1, 1.5, float("nan")])
+def test_mc_key_failure_rejects_bad_ber(ber):
+    with pytest.raises(ValueError):
+        fuzzy.mc_key_failure(ber, fuzzy.default_config(), sessions=10, seed=1)
+
+
+@pytest.mark.parametrize("sessions,batch_size", [(0, 10), (-1, 10), (10, 0)])
+def test_mc_key_failure_rejects_no_sessions(sessions, batch_size):
+    with pytest.raises(ValueError):
+        fuzzy.mc_key_failure(0.01, fuzzy.default_config(), sessions=sessions, seed=1,
+                             batch_size=batch_size)
+
+
+class _NoGeometric:
+    """A generator that refuses geometric draws and passes on the rest."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def geometric(self, *args, **kwargs):
+        raise AssertionError("geometric drawn")
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_mc_key_failure_zero_ber_draws_nothing(monkeypatch):
+    monkeypatch.setattr(fuzzy.np.random, "default_rng", _NoGeometric)
+    res = fuzzy.mc_key_failure(0.0, fuzzy.default_config(), sessions=1000, seed=1)
+    assert (res.sessions, res.failures) == (1000, 0)
+
+
+def test_mc_key_failure_unit_ber_fails_every_session():
+    res = fuzzy.mc_key_failure(1.0, fuzzy.default_config(), sessions=1000, seed=1)
+    assert (res.sessions, res.failures) == (1000, 1000)
 
 
 def test_mc_key_failure_converges_small():
