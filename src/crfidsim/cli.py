@@ -77,23 +77,33 @@ def parse_code(text: str) -> bch.BchParams:
         raise argparse.ArgumentTypeError(f"bad code {text!r}: {exc}") from exc
 
 
-def positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
 
 
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
 def positive_float(text: str) -> float:
+    """A positive, finite number whose square is too (distances enter as d*d)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    if not (value > 0 and 0 < value * value < math.inf):
+        raise argparse.ArgumentTypeError(
+            f"must be positive with a finite, nonzero square, got {text!r}")
     return value
 
 
@@ -122,7 +132,10 @@ def out_dir(args: argparse.Namespace) -> Path | None:
     if args.out is None:
         return None
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {args.out!r}: {exc}") from exc
     return path
 
 
@@ -232,18 +245,16 @@ def run_powered_update(
     channel: protocol.Channel,
     power: tuple[float, float, int] | None,
     trial: int,
-    max_attempts: int = 3,
 ) -> tuple[UpdateOutcome, float | None]:
     """Gate each update attempt on a harvested-power session."""
     if power is None:
         return protocol.prover_update(db, token_id, image, channel), None
     distance, sleep_ms, seed = power
     extra = powersim.update_ops(image.total_bytes, chunk_frame_count(image))
-    outcome = UpdateOutcome.BROWNOUT_ABORTED
     latency = math.inf
-    for attempt in range(max_attempts):
+    for attempt in range(protocol.MAX_ATTEMPTS):
         session = powersim.cold_start_session(
-            distance, sleep_ms, seed, trial=trial * max_attempts + attempt,
+            distance, sleep_ms, seed, trial=trial * protocol.MAX_ATTEMPTS + attempt,
             extra_ops=extra,
         )
         latency = session.latency_ms
@@ -251,7 +262,7 @@ def run_powered_update(
             return protocol.prover_update(db, token_id, image, channel), latency
         channel.token.inject_brownout()
         channel.reset_token()
-    return outcome, latency
+    return UpdateOutcome.BROWNOUT_ABORTED, latency
 
 
 def cmd_update(args: argparse.Namespace) -> int:
@@ -397,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--device", default="synthetic",
                        help="synthetic or dump:<path>")
         p.add_argument("--out", default=None, help="directory for output files")

@@ -90,17 +90,8 @@ class CostTable:
 DEFAULT_COSTS = CostTable()
 
 
-@dataclass(frozen=True)
-class IemPlan:
-    sleep_ms: float = 0
-    fe_gen_subtasks: int = 8
-    mac_ops_per_subtask: int = 32
-
-    def __post_init__(self) -> None:
-        if self.sleep_ms not in SLEEP_CHOICES:
-            raise ValueError(f"sleep_ms must be one of {SLEEP_CHOICES}")
-        if self.fe_gen_subtasks < 1 or self.mac_ops_per_subtask < 1:
-            raise ValueError("subtask sizes must be positive")
+FE_GEN_SUBTASKS = 8          # key derivation checkpoints
+MAC_OPS_PER_SUBTASK = 32     # AES blocks of the tag check per subtask
 
 
 def split_subtasks(total_cycles: int, parts: int) -> tuple[int, ...]:
@@ -202,8 +193,7 @@ class RunResult:
     success: bool
     latency_ms: float
     state: EnergyState
-    brownout: Brownout | None = None
-    exec_ms: float = 0.0
+    failed_op: str | None = None
     sleeps: int = 0
 
 
@@ -215,42 +205,6 @@ def _note(trace: Trace | None, state: EnergyState, event: str) -> None:
         trace.append((state.time_ms, state.v_cap, event))
 
 
-def run_with_iem(
-    task_cycles: int,
-    plan: IemPlan,
-    state: EnergyState,
-    subtasks: int = 1,
-    trace: Trace | None = None,
-    label: str = "task",
-) -> RunResult:
-    """Run one task as an exact partition of subtasks with sleeps between.
-
-    Latency is execution time plus sleeps * sleep_ms, with the execution
-    term accumulated identically across sleep settings, so for a task that
-    completes, latency(sleep) == latency(0) + (subtasks - 1) * sleep_ms
-    holds bit for bit.
-    """
-    t0 = state.time_ms
-    parts = split_subtasks(task_cycles, subtasks)
-    exec_ms = 0.0
-    sleeps = 0
-    for i, cycles in enumerate(parts):
-        if i and plan.sleep_ms:
-            state = charge(state, plan.sleep_ms)
-            sleeps += 1
-            _note(trace, state, "wake")
-        out = step(state, cycles)
-        if isinstance(out, Brownout):
-            _note(trace, out.state, f"brownout:{label}")
-            return RunResult(False, out.state.time_ms - t0, out.state, out,
-                             exec_ms=exec_ms, sleeps=sleeps)
-        exec_ms += cycles / state.model.cycles_per_ms
-        state = out
-        _note(trace, state, f"{label}[{i + 1}/{len(parts)}]")
-    return RunResult(True, exec_ms + sleeps * plan.sleep_ms, state,
-                     exec_ms=exec_ms, sleeps=sleeps)
-
-
 @dataclass(frozen=True)
 class PlanOp:
     name: str
@@ -258,28 +212,22 @@ class PlanOp:
     subtasks: int = 1
 
 
-def boot_ops(costs: CostTable = DEFAULT_COSTS,
-             plan: IemPlan = IemPlan()) -> tuple[PlanOp, ...]:
-    """Cold start: temperature gate, entropy, readout, key derivation, reply."""
-    return (
-        PlanOp("temp-check", costs.temp_check),
-        PlanOp("trng", costs.trng),
-        PlanOp("puf-readout", costs.puf_readout),
-        PlanOp("fe-gen", costs.fe_gen, plan.fe_gen_subtasks),
-        PlanOp("reply", costs.frame_handling),
-    )
+# Cold start: temperature gate, entropy, readout, key derivation, reply.
+BOOT_OPS = (
+    PlanOp("temp-check", DEFAULT_COSTS.temp_check),
+    PlanOp("trng", DEFAULT_COSTS.trng),
+    PlanOp("puf-readout", DEFAULT_COSTS.puf_readout),
+    PlanOp("fe-gen", DEFAULT_COSTS.fe_gen, FE_GEN_SUBTASKS),
+    PlanOp("reply", DEFAULT_COSTS.frame_handling),
+)
 
 
-def update_ops(
-    image_bytes: int,
-    chunk_frames: int,
-    costs: CostTable = DEFAULT_COSTS,
-    plan: IemPlan = IemPlan(),
-) -> tuple[PlanOp, ...]:
+def update_ops(image_bytes: int, chunk_frames: int) -> tuple[PlanOp, ...]:
     """Post-boot transfer work: frame handling plus the firmware tag check."""
+    costs = DEFAULT_COSTS
     mac_cycles = costs.mac_cost(image_bytes + 16)
     aes_blocks = max(1, math.ceil((image_bytes + 16) / 16))
-    mac_subtasks = max(1, math.ceil(aes_blocks / plan.mac_ops_per_subtask))
+    mac_subtasks = max(1, math.ceil(aes_blocks / MAC_OPS_PER_SUBTASK))
     ops = [PlanOp("setup-frame", costs.frame_handling),
            PlanOp("auth-frame", costs.frame_handling)]
     ops += [PlanOp(f"chunk-{i}", costs.frame_handling) for i in range(chunk_frames)]
@@ -288,36 +236,44 @@ def update_ops(
     return tuple(ops)
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    success: bool
-    latency_ms: float
-    state: EnergyState
-    failed_op: str | None = None
-
-
 def run_ops(
     ops: Sequence[PlanOp],
-    plan: IemPlan,
+    sleep_ms: float,
     state: EnergyState,
     trace: Trace | None = None,
-) -> SessionResult:
+) -> RunResult:
+    """Run each op as an exact partition of subtasks, sleeping between them.
+
+    The token sleeps sleep_ms (charging, zero drain) before every subtask
+    but the first. On success, latency is execution time plus
+    sleeps * sleep_ms, with the execution term accumulated identically
+    across sleep settings, so latency(sleep) == latency(0) + sleeps * sleep
+    holds bit for bit. On a brownout, latency is the time elapsed and
+    failed_op names the op that browned out.
+    """
+    if sleep_ms not in SLEEP_CHOICES:
+        raise ValueError(f"sleep_ms must be one of {SLEEP_CHOICES}")
     t0 = state.time_ms
     exec_ms = 0.0
     sleeps = 0
-    for i, op in enumerate(ops):
-        if i and plan.sleep_ms:
-            state = charge(state, plan.sleep_ms)
-            sleeps += 1
-            _note(trace, state, "wake")
-        res = run_with_iem(op.cycles, plan, state, subtasks=op.subtasks,
-                           trace=trace, label=op.name)
-        if not res.success:
-            return SessionResult(False, res.state.time_ms - t0, res.state, op.name)
-        exec_ms += res.exec_ms
-        sleeps += res.sleeps
-        state = res.state
-    return SessionResult(True, exec_ms + sleeps * plan.sleep_ms, state)
+    first = True
+    for op in ops:
+        parts = split_subtasks(op.cycles, op.subtasks)
+        for i, cycles in enumerate(parts, 1):
+            if sleep_ms and not first:
+                state = charge(state, sleep_ms)
+                sleeps += 1
+                _note(trace, state, "wake")
+            first = False
+            out = step(state, cycles)
+            if isinstance(out, Brownout):
+                _note(trace, out.state, f"brownout:{op.name}")
+                return RunResult(False, out.state.time_ms - t0, out.state,
+                                 op.name, sleeps)
+            exec_ms += cycles / state.model.cycles_per_ms
+            state = out
+            _note(trace, state, f"{op.name}[{i}/{len(parts)}]")
+    return RunResult(True, exec_ms + sleeps * sleep_ms, state, sleeps=sleeps)
 
 
 def cold_start_session(
@@ -325,50 +281,32 @@ def cold_start_session(
     sleep_ms: float,
     seed: int,
     trial: int = 0,
-    model: ChargeModel = DEFAULT_MODEL,
-    costs: CostTable = DEFAULT_COSTS,
     kappa: float | None = None,
     trace: Trace | None = None,
     extra_ops: Sequence[PlanOp] = (),
-) -> SessionResult:
-    """Charge from empty, boot at 2.0 V, derive the key, send the first reply."""
-    plan = IemPlan(sleep_ms=sleep_ms)
-    k = draw_kappa(model, seed, trial) if kappa is None else kappa
-    state = EnergyState(v_cap=0.0, distance_cm=distance_cm, kappa=k, model=model)
-    t_charge = time_to_voltage(state, model.v_boot)
+) -> RunResult:
+    """Charge from empty, boot at 2.0 V, derive the key, send the first reply.
+
+    Latency is measured from field-on (t = 0), so it includes the charge.
+    """
+    k = draw_kappa(DEFAULT_MODEL, seed, trial) if kappa is None else kappa
+    state = EnergyState(v_cap=0.0, distance_cm=distance_cm, kappa=k)
+    t_charge = time_to_voltage(state, DEFAULT_MODEL.v_boot)
     if math.isinf(t_charge):
-        return SessionResult(False, math.inf, state, failed_op="charge")
+        return RunResult(False, math.inf, state, failed_op="charge")
     state = charge(state, t_charge)
     _note(trace, state, "boot")
-    ops = boot_ops(costs, plan) + tuple(extra_ops)
-    inner = run_ops(ops, plan, state, trace=trace)
-    return SessionResult(
-        success=inner.success,
-        latency_ms=inner.state.time_ms,   # measured from t0 = 0 (field on)
-        state=inner.state,
-        failed_op=inner.failed_op,
-    )
+    res = run_ops(BOOT_OPS + tuple(extra_ops), sleep_ms, state, trace)
+    return replace(res, latency_ms=res.state.time_ms)
 
 
-def success_rate(
-    distance_cm: float,
-    sleep_ms: float,
-    trials: int,
-    seed: int,
-    model: ChargeModel = DEFAULT_MODEL,
-    costs: CostTable = DEFAULT_COSTS,
-    extra_ops: Sequence[PlanOp] = (),
-) -> float:
+def success_rate(distance_cm: float, sleep_ms: float, trials: int, seed: int) -> float:
     """Monte-Carlo cold-start success; kappa draws are paired across settings."""
     if trials < 1:
         raise ValueError("need at least one trial")
     wins = 0
     for trial in range(trials):
-        res = cold_start_session(
-            distance_cm, sleep_ms, seed, trial=trial,
-            model=model, costs=costs, extra_ops=extra_ops,
-        )
-        wins += res.success
+        wins += cold_start_session(distance_cm, sleep_ms, seed, trial=trial).success
     return wins / trials
 
 

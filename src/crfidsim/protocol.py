@@ -478,7 +478,6 @@ class TamperPolicy:
 
     flips: dict[int, tuple[int, ...]] = field(default_factory=dict)
     drops: frozenset[int] = frozenset()
-    replays: dict[int, gen2.Gen2Frame] = field(default_factory=dict)
 
 
 class Channel:
@@ -502,12 +501,7 @@ class Channel:
                 bits = bits.flip(pos % bits.length)
             frame = gen2.Gen2Frame(bits=bits)
         self.transcript.append(frame.to_hex())
-        reply = self.token.deliver(frame)
-        replay = self.policy.replays.get(index)
-        if replay is not None:
-            self.transcript.append(replay.to_hex())
-            self.token.deliver(replay)
-        return reply
+        return self.token.deliver(frame)
 
     def reset_token(self) -> None:
         """Models the reader cycling its RF field."""

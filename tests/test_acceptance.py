@@ -393,15 +393,10 @@ def test_criterion_09_power_trends(capsys):
 
     # (c) exact latency accounting
     state = powersim.EnergyState(v_cap=2.5, distance_cm=20.0, kappa=60.0)
-    base = powersim.run_with_iem(
-        powersim.DEFAULT_COSTS.fe_gen, powersim.IemPlan(sleep_ms=0),
-        state, subtasks=8,
-    )
+    fe_gen = (powersim.PlanOp("fe-gen", powersim.DEFAULT_COSTS.fe_gen, 8),)
+    base = powersim.run_ops(fe_gen, 0, state)
     latency_exact = all(
-        powersim.run_with_iem(
-            powersim.DEFAULT_COSTS.fe_gen, powersim.IemPlan(sleep_ms=s),
-            state, subtasks=8,
-        ).latency_ms == base.latency_ms + 7 * s
+        powersim.run_ops(fe_gen, s, state).latency_ms == base.latency_ms + 7 * s
         for s in (10, 20, 30)
     )
 

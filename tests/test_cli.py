@@ -311,12 +311,28 @@ class TestAttack:
     ["enroll", "--devices", "two"],
     ["analyze", "--blocks", "0"],
     ["analyze", "--trials", "0"],
+    ["update", "--distance-cm", "1e300"],
+    ["update", "--distance-cm", "1e-300"],
+    ["enroll", "--seed", "-1"],
+    ["update", "--seed", "-1"],
+    ["analyze", "--seed", "-1"],
+    ["attack", "--seed", "-1"],
 ])
 def test_bad_arguments_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.run(argv)
     assert exc.value.code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enroll", "update", "analyze", "attack"])
+def test_out_under_a_regular_file_is_input_error(capsys, tmp_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code, cap = run_cli(capsys, command, "--out", str(blocker / "sub"))
+    assert code == 3
+    assert "cannot create output directory" in cap.err
+    assert cap.out == ""
 
 
 def test_exit_code_map_is_total():

@@ -1,5 +1,6 @@
-"""Capacitor dynamics, cycle budgets, IEM scheduling, cold-start trends."""
+"""Capacitor dynamics, cycle budgets, subtask scheduling, cold-start trends."""
 
+import hashlib
 import math
 
 import pytest
@@ -45,16 +46,12 @@ class TestCostTable:
             COSTS.mac_cost(-1)
 
 
-class TestIemPlan:
+class TestSubtaskPlan:
     def test_sleep_choices(self):
         for s in (0, 10, 20, 30):
-            assert ps.IemPlan(sleep_ms=s).sleep_ms == s
+            assert ps.run_ops((), s, state_at(2.0)).success
         with pytest.raises(ValueError):
-            ps.IemPlan(sleep_ms=15)
-
-    def test_subtask_sizes_positive(self):
-        with pytest.raises(ValueError):
-            ps.IemPlan(fe_gen_subtasks=0)
+            ps.run_ops((), 15, state_at(2.0))
 
     @given(total=st.integers(8, 200_000), parts=st.integers(1, 8))
     def test_split_partitions_exactly(self, total, parts):
@@ -159,14 +156,14 @@ class TestStep:
 class TestRunWithIem:
     def test_sleep_zero_single_part_equals_plain_step(self):
         s = state_at(2.2, distance=30.0, kappa=20.0)
-        res = ps.run_with_iem(50_000, ps.IemPlan(sleep_ms=0), s, subtasks=1)
+        res = ps.run_ops((ps.PlanOp("task", 50_000),), 0, s)
         direct = ps.step(s, 50_000)
         assert res.success
         assert res.state == direct
 
     def test_sleep_zero_split_matches_cycle_accounting(self):
         s = state_at(2.2, distance=30.0, kappa=20.0)
-        res = ps.run_with_iem(50_000, ps.IemPlan(sleep_ms=0), s, subtasks=8)
+        res = ps.run_ops((ps.PlanOp("task", 50_000, 8),), 0, s)
         direct = ps.step(s, 50_000)
         assert res.state.cycles_consumed == direct.cycles_consumed
         assert res.state.v_cap == pytest.approx(direct.v_cap, abs=1e-9)
@@ -174,11 +171,9 @@ class TestRunWithIem:
 
     def test_latency_delta_is_exact(self):
         s = state_at(2.5, distance=20.0, kappa=60.0)
-        base = ps.run_with_iem(COSTS.fe_gen, ps.IemPlan(sleep_ms=0), s, subtasks=8)
+        base = ps.run_ops((ps.PlanOp("fe-gen", COSTS.fe_gen, 8),), 0, s)
         for sleep in (10, 20, 30):
-            slept = ps.run_with_iem(
-                COSTS.fe_gen, ps.IemPlan(sleep_ms=sleep), s, subtasks=8
-            )
+            slept = ps.run_ops((ps.PlanOp("fe-gen", COSTS.fe_gen, 8),), sleep, s)
             assert slept.success
             assert slept.latency_ms == base.latency_ms + 7 * sleep
             assert slept.sleeps == 7
@@ -188,10 +183,10 @@ class TestRunWithIem:
         # interleaving recharges enough to finish
         s = state_at(2.0, distance=40.0, kappa=5.0)
         assert ps.single_charge_budget(MODEL, 40.0, 5.0) < COSTS.fe_gen
-        plain = ps.run_with_iem(COSTS.fe_gen, ps.IemPlan(sleep_ms=0), s, subtasks=8)
-        slept = ps.run_with_iem(COSTS.fe_gen, ps.IemPlan(sleep_ms=30), s, subtasks=8)
+        plain = ps.run_ops((ps.PlanOp("fe-gen", COSTS.fe_gen, 8),), 0, s)
+        slept = ps.run_ops((ps.PlanOp("fe-gen", COSTS.fe_gen, 8),), 30, s)
         assert not plain.success
-        assert plain.brownout is not None
+        assert plain.failed_op == "fe-gen"
         assert plain.state.v_cap == MODEL.v_min
         assert slept.success
 
@@ -277,7 +272,7 @@ class TestColdStart:
     def test_latency_includes_charge_and_execution(self):
         res = ps.cold_start_session(20.0, 0, seed=1, kappa=60.0)
         assert res.success
-        exec_ms = sum(op.cycles for op in ps.boot_ops()) / MODEL.cycles_per_ms
+        exec_ms = sum(op.cycles for op in ps.BOOT_OPS) / MODEL.cycles_per_ms
         charge_ms = ps.time_to_voltage(
             state_at(0.0, distance=20.0, kappa=60.0), MODEL.v_boot
         )
@@ -345,3 +340,71 @@ class TestBrownoutClearsTokenState:
         assert token.deliver(frame) is None   # silent until the field cycles
         token.power_cycle()
         assert token.state.sk is not None
+
+
+class TestPinnedOutputs:
+    """Exact powersim outputs, frozen so a refactor cannot drift them."""
+
+    GRID = {
+        (20.0, 0): 0.925, (20.0, 10): 1.0, (20.0, 20): 1.0, (20.0, 30): 1.0,
+        (40.0, 0): 0.45, (40.0, 10): 1.0, (40.0, 20): 1.0, (40.0, 30): 1.0,
+        (60.0, 0): 0.075, (60.0, 10): 0.925, (60.0, 20): 1.0, (60.0, 30): 1.0,
+    }
+
+    def test_success_rate_grid(self):
+        for (distance, sleep), rate in self.GRID.items():
+            assert ps.success_rate(distance, sleep, trials=40, seed=2024) == rate
+
+    # (distance, sleep, seed, trial, with update ops) ->
+    # (success, latency_ms, failed_op, end v_cap, end cycles_consumed)
+    SESSIONS = [
+        ((20.0, 10, 1, 0, False),
+         (True, 146.2417588844369, None, 2.936837287919067, 111358)),
+        ((40.0, 0, 2024, 3, False),
+         (False, 520.8629758136041, "fe-gen", 1.8, 66551)),
+        ((40.0, 30, 2024, 3, False),
+         (True, 856.4638010491904, None, 2.248135612833776, 111358)),
+        ((60.0, 20, 7, 5, False),
+         (True, 450.1299259170455, None, 2.464678650912931, 111358)),
+        ((30.0, 20, 2024, 1, True),
+         (True, 623.0441734763899, None, 2.7937931437569645, 153740)),
+        ((40.0, 10, 2024, 2, True),
+         (True, 316.10870843751246, None, 2.818810917027315, 153740)),
+        ((30.0, 0, 2024, 6, True),
+         (False, 98.37715124274447, "mac", 1.8, 140423)),
+        ((40.0, 0, 2024, 13, True),
+         (False, 113.64234431737142, "chunk-0", 1.8, 112378)),
+        ((50.0, 0, 2024, 36, True),
+         (False, 114.0896006223343, "auth-frame", 1.8, 111890)),
+    ]
+
+    @pytest.mark.parametrize("setting,expected", SESSIONS)
+    def test_cold_start_session(self, setting, expected):
+        distance, sleep, seed, trial, with_update = setting
+        extra = ps.update_ops(image_bytes=399, chunk_frames=7) if with_update else ()
+        res = ps.cold_start_session(distance, sleep, seed, trial=trial,
+                                    extra_ops=extra)
+        got = (res.success, res.latency_ms, res.failed_op,
+               res.state.v_cap, res.state.cycles_consumed)
+        assert got == expected
+        assert res.state.time_ms == res.latency_ms
+
+    def test_charge_failure(self):
+        res = ps.cold_start_session(40.0, 0, seed=1, kappa=0.0)
+        assert (res.success, res.failed_op) == (False, "charge")
+        assert math.isinf(res.latency_ms)
+        assert res.state.v_cap == 0.0 and res.state.cycles_consumed == 0
+
+    @pytest.mark.parametrize("setting,events,digest", [
+        ((40.0, 10, 2024, 2), 46, "22f2f5d92f000b96"),
+        ((30.0, 0, 2024, 6), 23, "ac1809918b5e2563"),
+    ])
+    def test_trace(self, setting, events, digest):
+        distance, sleep, seed, trial = setting
+        trace = []
+        ps.cold_start_session(distance, sleep, seed, trial=trial, trace=trace,
+                              extra_ops=ps.update_ops(image_bytes=399,
+                                                      chunk_frames=7))
+        text = ps.trace_to_tsv(trace)
+        assert len(trace) == events
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
