@@ -21,7 +21,6 @@ import sys
 from pathlib import Path
 
 from . import bch, enroll, fuzzy, powersim, protocol, puf
-from .gen2 import BlockWrite, Gen2Frame, SecureComm, decode, encode
 from .protocol import CHUNK_WORDS, TamperPolicy, UpdateOutcome
 
 EXIT_OK = 0
@@ -139,11 +138,19 @@ def out_dir(args: argparse.Namespace) -> Path | None:
     return path
 
 
+def write_out(path: Path, text: str) -> None:
+    """Write one --out file; a path that cannot take it is an input error."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {str(path)!r}: {exc}") from exc
+
+
 def emit(lines: list[str], dest: Path | None, name: str) -> None:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if dest is not None:
-        (dest / name).write_text(text)
+        write_out(dest / name, text)
         sys.stdout.write(f"# wrote\t{dest / name}\n")
 
 
@@ -166,9 +173,8 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         eff = 100.0 * enroll.efficiency(record.crp_map)
         lines.append(f"{device_id}\t{blocks}\t{blocks * 248}\t{eff:.3g}")
         if dest is not None:
-            (dest / f"{device_id}.record.txt").write_text(
-                enroll.record_to_text(record)
-            )
+            write_out(dest / f"{device_id}.record.txt",
+                      enroll.record_to_text(record))
     emit(lines, dest, "enroll.tsv")
     return EXIT_OK
 
@@ -181,61 +187,27 @@ def chunk_frame_count(image: protocol.FirmwareImage) -> int:
 
 
 def parse_tamper(rule: tuple[str, int | None],
-                 image: protocol.FirmwareImage) -> tuple[
-    TamperPolicy, int | None
-]:
-    """Returns (drop/flip policy, index of the frame to mutate in-protocol).
+                 image: protocol.FirmwareImage) -> TamperPolicy:
+    """The channel policy of a (policy, index) rule as split by tamper_rule.
 
-    rule is a (policy, index) pair as split by tamper_rule. Mutation
-    rewrites a frame's payload and re-frames it with a valid CRC (an active
-    relay), so the token answers instead of staying silent on a checksum
-    error.
+    mac and chunk:<i> mutate that frame's payload (protocol.mutate_payload);
+    drop:<frame> drops the frame at that delivery index.
     """
     kind, idx = rule
     last = 3 + chunk_frame_count(image)   # privilege, setup, auth, chunks...
     if idx is None:
         if kind == "none":
-            return TamperPolicy(), None
+            return TamperPolicy()
         if kind == "mac":
-            return TamperPolicy(), last
+            return TamperPolicy(mutations=frozenset({last}))
         raise InputError(f"unknown tamper policy {kind!r}")
     if kind == "chunk":
         if not 0 <= idx < chunk_frame_count(image):
             raise InputError(f"chunk index out of range in 'chunk:{idx}'")
-        return TamperPolicy(), 3 + idx
+        return TamperPolicy(mutations=frozenset({3 + idx}))
     if not 0 <= idx <= last:
         raise InputError(f"frame index out of range in 'drop:{idx}'")
-    return TamperPolicy(drops=frozenset({idx})), None
-
-
-def mutate_payload(frame: Gen2Frame) -> Gen2Frame:
-    """Flip one payload bit and re-frame with a fresh valid CRC."""
-    view = decode(frame)
-    if isinstance(view, SecureComm):
-        ct = bytearray(view.ciphertext)
-        ct[0] ^= 0x01
-        view = SecureComm(inner_wordptr=view.inner_wordptr, ciphertext=bytes(ct))
-    elif isinstance(view, BlockWrite):
-        words = list(view.words)
-        words[0] ^= 0x0001
-        view = BlockWrite(membank=view.membank, wordptr=view.wordptr,
-                          words=tuple(words))
-    return encode(view, rn=0)
-
-
-class MutatingChannel(protocol.Channel):
-    """Channel that rewrites one chosen frame in flight."""
-
-    def __init__(self, token, policy: TamperPolicy, mutate_at: int | None):
-        super().__init__(token, policy)
-        self._mutate_at = mutate_at
-        self._count = 0
-
-    def send(self, frame: Gen2Frame):
-        if self._count == self._mutate_at:
-            frame = mutate_payload(frame)
-        self._count += 1
-        return super().send(frame)
+    return TamperPolicy(drops=frozenset({idx}))
 
 
 def run_powered_update(
@@ -276,7 +248,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     db = protocol.ProverDb()
     db.add(record)
     image = load_image(args.image)
-    policy, mutate_at = parse_tamper(args.tamper, image)
+    policy = parse_tamper(args.tamper, image)
     power = None
     if args.distance_cm is not None:
         power = (args.distance_cm, args.sleep_ms, args.seed)
@@ -288,7 +260,7 @@ def cmd_update(args: argparse.Namespace) -> int:
         token = protocol.TokenSim(
             device, record.crp_map, session_seed=args.seed * 1000 + trial
         )
-        channel = MutatingChannel(token, policy, mutate_at)
+        channel = protocol.Channel(token, policy)
         outcome, latency = run_powered_update(
             db, token_id, image, channel, power, trial
         )
@@ -297,9 +269,8 @@ def cmd_update(args: argparse.Namespace) -> int:
         lines.append(f"{trial}\t{outcome.name}\t{len(channel.transcript)}\t{shown}")
         exit_code = OUTCOME_EXIT[outcome]
         if dest is not None:
-            (dest / f"transcript-{trial}.txt").write_text(
-                "\n".join(channel.transcript) + "\n"
-            )
+            write_out(dest / f"transcript-{trial}.txt",
+                      "\n".join(channel.transcript) + "\n")
     lines.append(f"# committed\t{committed}/{args.trials}")
     emit(lines, dest, "update.tsv")
     return exit_code

@@ -19,13 +19,24 @@ from typing import Sequence
 import numpy as np
 
 from . import puf
-from .layout import DEFAULT_LAYOUT, MemoryLayout
+from .layout import DEFAULT_LAYOUT
 
 BLOCK_BYTES = 31
 BLOCK_BITS = 8 * BLOCK_BYTES
 
 DEFAULT_CORNER_TEMPS = (0.0, 40.0)
 NOMINAL_TEMP = 25.0
+
+# Enrollment recipe: readouts taken per temperature, readouts screening
+# requires, and the trial seeds of the characterization run
+CORNER_READOUTS = 5
+NOMINAL_READOUTS = 11
+MIN_CORNER_READOUTS = 2
+MIN_NOMINAL_READOUTS = 10
+TRIAL_SEED_BASE = 10_000
+
+ELIGIBLE_START = DEFAULT_LAYOUT.eligible_start
+ELIGIBLE_BYTES = DEFAULT_LAYOUT.eligible_bytes
 
 
 class EmptyRegionError(ValueError):
@@ -87,53 +98,43 @@ class EnrollmentRecord:
         return self.references[c % len(self.crp_map)]
 
 
-def _eligible_slice(layout: MemoryLayout) -> tuple[int, int]:
-    return layout.eligible_start, layout.eligible_bytes
-
-
-def _byte_matrix(readouts: Sequence[puf.Readout], layout: MemoryLayout) -> np.ndarray:
+def _byte_matrix(readouts: Sequence[puf.Readout]) -> np.ndarray:
     """Stack readouts restricted to the eligible region: (reads, bytes, 8)."""
-    start, nbytes = _eligible_slice(layout)
     rows = []
     for r in readouts:
-        bits = r.bits[8 * start : 8 * (start + nbytes)]
-        if bits.size != 8 * nbytes:
+        bits = r.bits[8 * ELIGIBLE_START : 8 * (ELIGIBLE_START + ELIGIBLE_BYTES)]
+        if bits.size != 8 * ELIGIBLE_BYTES:
             raise InsufficientMaterialError("readout does not cover the eligible region")
-        rows.append(bits.reshape(nbytes, 8))
+        rows.append(bits.reshape(ELIGIBLE_BYTES, 8))
     return np.stack(rows)
 
 
 def pre_select(
-    corner_readouts: puf.DumpSet,
-    nominal_readouts: puf.DumpSet,
-    corner_temps: Sequence[float] = DEFAULT_CORNER_TEMPS,
-    min_corner_readouts: int = 2,
-    min_nominal_readouts: int = 10,
-    layout: MemoryLayout = DEFAULT_LAYOUT,
+    corner_readouts: puf.DumpSet, nominal_readouts: puf.DumpSet
 ) -> StableByteMask:
     """Keep bytes that are bit-stable at every corner; majority-vote values.
 
     A per-bit tie in the nominal vote discards the whole byte.
     """
     corner_sets = []
-    for t in corner_temps:
+    for t in DEFAULT_CORNER_TEMPS:
         group = corner_readouts.at_temperature(t)
-        if len(group) < min_corner_readouts:
+        if len(group) < MIN_CORNER_READOUTS:
             raise ValueError(
-                f"need at least {min_corner_readouts} readouts at {t} C, "
+                f"need at least {MIN_CORNER_READOUTS} readouts at {t} C, "
                 f"got {len(group)}"
             )
         corner_sets.extend(group)
     nominal = nominal_readouts.at_temperature(NOMINAL_TEMP)
-    if len(nominal) < min_nominal_readouts:
+    if len(nominal) < MIN_NOMINAL_READOUTS:
         raise ValueError(
-            f"need at least {min_nominal_readouts} nominal readouts, got {len(nominal)}"
+            f"need at least {MIN_NOMINAL_READOUTS} nominal readouts, got {len(nominal)}"
         )
 
-    corner = _byte_matrix(corner_sets, layout)
+    corner = _byte_matrix(corner_sets)
     stable = (corner == corner[0]).all(axis=(0, 2))
 
-    nom = _byte_matrix(nominal, layout)
+    nom = _byte_matrix(nominal)
     ones = nom.sum(axis=0, dtype=np.int64)
     majority = (2 * ones > len(nominal)).astype(np.uint8)
     tie = (2 * ones == len(nominal)).any(axis=1)
@@ -141,23 +142,22 @@ def pre_select(
     keep = stable & ~tie
     if not keep.any():
         raise EmptyRegionError("no byte survived stability screening")
-    start, _ = _eligible_slice(layout)
     idx = np.flatnonzero(keep)
     weights = 1 << np.arange(8)  # LSB-first bit order within a byte
     values = (majority[idx] * weights).sum(axis=1)
     return StableByteMask(
-        addresses=tuple(int(start + i) for i in idx),
+        addresses=tuple(int(ELIGIBLE_START + i) for i in idx),
         values=tuple(int(v) for v in values),
     )
 
 
-def debias(mask: StableByteMask, hamming_weights: frozenset[int] = frozenset({4})) -> StableByteMask:
-    """Retain bytes whose reference value is Hamming-weight balanced."""
+def debias(mask: StableByteMask) -> StableByteMask:
+    """Retain bytes whose reference value is Hamming-weight balanced (4 of 8)."""
     if len(mask) == 0:
         raise EmptyRegionError("empty input mask")
     kept = [
         (a, v) for a, v in zip(mask.addresses, mask.values)
-        if bin(v).count("1") in hamming_weights
+        if bin(v).count("1") == 4
     ]
     if not kept:
         raise EmptyRegionError("no byte survived de-biasing")
@@ -165,26 +165,24 @@ def debias(mask: StableByteMask, hamming_weights: frozenset[int] = frozenset({4}
     return StableByteMask(addresses=addresses, values=values)
 
 
-def build_map(mask: StableByteMask, block_bytes: int = BLOCK_BYTES) -> CrpBlockMap:
+def build_map(mask: StableByteMask) -> CrpBlockMap:
     """Greedily pack consecutive winnowed bytes into fixed-size blocks."""
-    if len(mask) < block_bytes:
+    if len(mask) < BLOCK_BYTES:
         raise InsufficientMaterialError(
-            f"inadequate key material: {len(mask)} bytes < one {block_bytes}-byte block"
+            f"inadequate key material: {len(mask)} bytes < one {BLOCK_BYTES}-byte block"
         )
     blocks = []
-    for i in range(len(mask) // block_bytes):
-        chunk = mask.addresses[i * block_bytes : (i + 1) * block_bytes]
+    for i in range(len(mask) // BLOCK_BYTES):
+        chunk = mask.addresses[i * BLOCK_BYTES : (i + 1) * BLOCK_BYTES]
         start = chunk[0]
         blocks.append(CrpBlock(start_address=start,
                                offsets=tuple(a - start for a in chunk)))
-    return CrpBlockMap(blocks=tuple(blocks), block_bytes=block_bytes)
+    return CrpBlockMap(blocks=tuple(blocks))
 
 
-def efficiency(crp_map: CrpBlockMap, eligible_bits: int = DEFAULT_LAYOUT.eligible_bits) -> float:
+def efficiency(crp_map: CrpBlockMap) -> float:
     """Fraction of the eligible region turned into usable response bits."""
-    if eligible_bits <= 0:
-        raise ValueError("eligible_bits must be positive")
-    return len(crp_map) * 8 * crp_map.block_bytes / eligible_bits
+    return len(crp_map) * 8 * crp_map.block_bytes / DEFAULT_LAYOUT.eligible_bits
 
 
 def challenge_to_response(
@@ -227,26 +225,16 @@ def build_record(
     )
 
 
-def enroll_device(
-    device: puf.PufDevice,
-    device_id: str,
-    corner_temps: Sequence[float] = DEFAULT_CORNER_TEMPS,
-    corner_readouts: int = 5,
-    nominal_readouts: int = 11,
-    trial_seed_base: int = 10_000,
-    layout: MemoryLayout = DEFAULT_LAYOUT,
-) -> EnrollmentRecord:
+def enroll_device(device: puf.PufDevice, device_id: str) -> EnrollmentRecord:
     """Full pipeline against a live device model."""
-    corners = puf.collect_dump(device, 0, corner_temps, corner_readouts,
-                               trial_seed_base=trial_seed_base)
-    nominal = puf.collect_dump(device, 0, [NOMINAL_TEMP], nominal_readouts,
-                               trial_seed_base=trial_seed_base + 1000)
-    mask = pre_select(corners, nominal, corner_temps=corner_temps,
-                      min_nominal_readouts=min(10, nominal_readouts), layout=layout)
-    winnowed = debias(mask)
+    corners = puf.collect_dump(device, 0, DEFAULT_CORNER_TEMPS, CORNER_READOUTS,
+                               trial_seed_base=TRIAL_SEED_BASE)
+    nominal = puf.collect_dump(device, 0, [NOMINAL_TEMP], NOMINAL_READOUTS,
+                               trial_seed_base=TRIAL_SEED_BASE + 1000)
+    winnowed = debias(pre_select(corners, nominal))
     crp_map = build_map(winnowed)
-    return build_record(device_id, winnowed, crp_map, corner_temps,
-                        corner_readouts, nominal_readouts)
+    return build_record(device_id, winnowed, crp_map, DEFAULT_CORNER_TEMPS,
+                        CORNER_READOUTS, NOMINAL_READOUTS)
 
 
 def measure_pipeline_ber(

@@ -49,19 +49,11 @@ def cmac(key: bytes, message: bytes) -> MacTag:
     return MacTag(c.finalize())
 
 
-def _nonce_bytes(nonce: int | bytes) -> bytes:
-    if isinstance(nonce, int):
-        if not 0 <= nonce < (1 << 128):
-            raise ValueError("nonce out of 128-bit range")
-        return nonce.to_bytes(BLOCK, "big")
+def mac_firmware(firmware: bytes, nonce: bytes, key: bytes) -> MacTag:
+    """Tag over firmware with the 16-byte nonce appended after the image bytes."""
     if len(nonce) != BLOCK:
         raise ValueError("nonce must be 128 bits")
-    return bytes(nonce)
-
-
-def mac_firmware(firmware: bytes, nonce: int | bytes, key: bytes) -> MacTag:
-    """Tag over firmware with the nonce appended after the image bytes."""
-    return cmac(key, firmware + _nonce_bytes(nonce))
+    return cmac(key, firmware + nonce)
 
 
 def sc_encrypt(payload: bytes, key: bytes) -> bytes:

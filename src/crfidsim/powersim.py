@@ -1,8 +1,8 @@
 """Intermittent-power simulation for harvested-energy sessions.
 
-The reservoir capacitor charges toward v_max with rate a = kappa/d^2
+The reservoir capacitor charges toward V_MAX with rate a = kappa/d^2
 (1/ms) and drains a fixed amount per executed clock cycle, so during
-execution dV/dt = a*(v_max - V) - drain. Both regimes have closed-form
+execution dV/dt = a*(V_MAX - V) - drain. Both regimes have closed-form
 exponential trajectories, and the 1.8 V crossing is solved exactly
 rather than time-stepped. Each session draws its own kappa from a
 log-normal spread; drawing by (seed, trial) keeps the draws common
@@ -10,8 +10,10 @@ across distance and sleep settings so trend comparisons are paired.
 
 Cycle costs per protocol step (key derivation dominating at ~109k
 cycles, tag computation scaling linearly with message bytes) match the
-target MCU's measured execution load. The interleaved-execution mode
-sleeps between subtasks with near-zero drain while charging continues.
+target MCU's measured execution load. The model and the costs describe
+the one target token, so they are module constants. The interleaved-
+execution mode sleeps between subtasks with near-zero drain while
+charging continues.
 """
 
 from __future__ import annotations
@@ -25,69 +27,41 @@ import numpy as np
 SLEEP_CHOICES = (0, 10, 20, 30)
 
 
-@dataclass(frozen=True)
-class ChargeModel:
-    v_max: float = 3.0
-    v_boot: float = 2.0
-    v_min: float = 1.8
-    clock_hz: int = 8_000_000
-    drain_per_cycle: float = 3.3e-6      # volts per executed cycle
-    kappa_median: float = 16.0
-    kappa_sigma: float = 0.6
+# Charge model: capacitor window, MCU clock and harvest spread
+V_MAX = 3.0
+V_BOOT = 2.0
+V_MIN = 1.8
+CYCLES_PER_MS = 8_000_000 / 1000.0   # 8 MHz clock
+DRAIN_PER_CYCLE = 3.3e-6             # volts per executed cycle
+DRAIN_PER_MS = DRAIN_PER_CYCLE * CYCLES_PER_MS
+KAPPA_MEDIAN = 16.0
+KAPPA_SIGMA = 0.6
 
-    def __post_init__(self) -> None:
-        if not (0 < self.v_min < self.v_boot < self.v_max):
-            raise ValueError("need 0 < v_min < v_boot < v_max")
-        if self.clock_hz <= 0 or self.drain_per_cycle <= 0:
-            raise ValueError("clock and drain must be positive")
-
-    @property
-    def cycles_per_ms(self) -> float:
-        return self.clock_hz / 1000.0
-
-    @property
-    def drain_per_ms(self) -> float:
-        return self.drain_per_cycle * self.cycles_per_ms
-
-    def rate(self, kappa: float, distance_cm: float) -> float:
-        if distance_cm <= 0:
-            raise ValueError("distance must be positive")
-        return kappa / distance_cm**2
+# Cycle costs per protocol step
+TRNG_CYCLES = 375
+PUF_READOUT_CYCLES = 615
+TEMP_CHECK_CYCLES = 734
+FE_GEN_CYCLES = 109_234
+MAC_CYCLES_PER_240_BYTES = 22_197
+FRAME_CYCLES = 400
 
 
-DEFAULT_MODEL = ChargeModel()
+def mac_cost(message_bytes: int) -> int:
+    if message_bytes < 0:
+        raise ValueError("negative message length")
+    return max(1, round(MAC_CYCLES_PER_240_BYTES * message_bytes / 240))
 
 
-def draw_kappa(model: ChargeModel, seed: int, trial: int) -> float:
+def _harvest_rate(kappa: float, distance_cm: float) -> float:
+    if distance_cm <= 0:
+        raise ValueError("distance must be positive")
+    return kappa / distance_cm**2
+
+
+def draw_kappa(seed: int, trial: int) -> float:
     """Per-session harvest coefficient; paired across settings by (seed, trial)."""
     rng = np.random.default_rng([seed, trial])
-    return model.kappa_median * math.exp(
-        model.kappa_sigma * rng.standard_normal()
-    )
-
-
-@dataclass(frozen=True)
-class CostTable:
-    trng: int = 375
-    puf_readout: int = 615
-    temp_check: int = 734
-    fe_gen: int = 109_234
-    mac_per_240_bytes: int = 22_197
-    frame_handling: int = 400
-
-    def __post_init__(self) -> None:
-        for name in ("trng", "puf_readout", "temp_check", "fe_gen",
-                     "mac_per_240_bytes", "frame_handling"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} cost must be positive")
-
-    def mac_cost(self, message_bytes: int) -> int:
-        if message_bytes < 0:
-            raise ValueError("negative message length")
-        return max(1, round(self.mac_per_240_bytes * message_bytes / 240))
-
-
-DEFAULT_COSTS = CostTable()
+    return KAPPA_MEDIAN * math.exp(KAPPA_SIGMA * rng.standard_normal())
 
 
 FE_GEN_SUBTASKS = 8          # key derivation checkpoints
@@ -107,13 +81,12 @@ class EnergyState:
     v_cap: float
     distance_cm: float
     kappa: float
-    model: ChargeModel = DEFAULT_MODEL
     time_ms: float = 0.0
     cycles_consumed: int = 0
 
     @property
     def rate(self) -> float:
-        return self.model.rate(self.kappa, self.distance_cm)
+        return _harvest_rate(self.kappa, self.distance_cm)
 
 
 @dataclass(frozen=True)
@@ -123,14 +96,18 @@ class Brownout:
 
 
 def charge(state: EnergyState, dt_ms: float) -> EnergyState:
-    """Idle charging: exponential approach to v_max, zero drain."""
+    """Idle charging: exponential approach to V_MAX, zero drain.
+
+    A harvest rate that overflows to inf fills the capacitor at once.
+    """
     if dt_ms < 0:
         raise ValueError("negative time")
     a = state.rate
-    m = state.model
+    if math.isinf(a):
+        return replace(state, v_cap=V_MAX, time_ms=state.time_ms + dt_ms)
     if a == 0 or dt_ms == 0:
         return replace(state, time_ms=state.time_ms + dt_ms)
-    v = m.v_max + (state.v_cap - m.v_max) * math.exp(-a * dt_ms)
+    v = V_MAX + (state.v_cap - V_MAX) * math.exp(-a * dt_ms)
     return replace(state, v_cap=v, time_ms=state.time_ms + dt_ms)
 
 
@@ -139,51 +116,46 @@ def time_to_voltage(state: EnergyState, v_target: float) -> float:
     if v_target <= state.v_cap:
         return 0.0
     a = state.rate
-    m = state.model
-    if a == 0 or v_target >= m.v_max:
+    if a == 0 or v_target >= V_MAX:
         return math.inf
-    return math.log((m.v_max - state.v_cap) / (m.v_max - v_target)) / a
+    return math.log((V_MAX - state.v_cap) / (V_MAX - v_target)) / a
+
+
+def _brownout(state: EnergyState, t_cross: float) -> Brownout:
+    done = math.floor(t_cross * CYCLES_PER_MS)
+    out = replace(
+        state,
+        v_cap=V_MIN,
+        time_ms=state.time_ms + t_cross,
+        cycles_consumed=state.cycles_consumed + done,
+    )
+    return Brownout(state=out, cycles_executed=done)
 
 
 def step(state: EnergyState, cycles: int) -> EnergyState | Brownout:
     """Execute cycles with concurrent harvesting; exact 1.8 V crossing."""
     if cycles < 0:
         raise ValueError("negative cycle count")
-    m = state.model
-    if state.v_cap < m.v_min:
+    if state.v_cap < V_MIN:
         return Brownout(state=state, cycles_executed=0)
     if cycles == 0:
         return state
     a = state.rate
-    t_exec = cycles / m.cycles_per_ms
+    t_exec = cycles / CYCLES_PER_MS
 
     if a == 0:
-        t_cross = (state.v_cap - m.v_min) / m.drain_per_ms
+        t_cross = (state.v_cap - V_MIN) / DRAIN_PER_MS
         if t_cross < t_exec:
-            done = math.floor(t_cross * m.cycles_per_ms)
-            out = replace(
-                state,
-                v_cap=m.v_min,
-                time_ms=state.time_ms + t_cross,
-                cycles_consumed=state.cycles_consumed + done,
-            )
-            return Brownout(state=out, cycles_executed=done)
-        v = state.v_cap - m.drain_per_ms * t_exec
+            return _brownout(state, t_cross)
+        v = state.v_cap - DRAIN_PER_MS * t_exec
         return replace(state, v_cap=v, time_ms=state.time_ms + t_exec,
                        cycles_consumed=state.cycles_consumed + cycles)
 
-    v_eq = m.v_max - m.drain_per_ms / a
+    v_eq = V_MAX - DRAIN_PER_MS / a
     v_end = v_eq + (state.v_cap - v_eq) * math.exp(-a * t_exec)
-    if v_eq < m.v_min and v_end < m.v_min:
-        t_cross = math.log((state.v_cap - v_eq) / (m.v_min - v_eq)) / a
-        done = math.floor(t_cross * m.cycles_per_ms)
-        out = replace(
-            state,
-            v_cap=m.v_min,
-            time_ms=state.time_ms + t_cross,
-            cycles_consumed=state.cycles_consumed + done,
-        )
-        return Brownout(state=out, cycles_executed=done)
+    if v_eq < V_MIN and v_end < V_MIN:
+        t_cross = math.log((state.v_cap - v_eq) / (V_MIN - v_eq)) / a
+        return _brownout(state, t_cross)
     return replace(state, v_cap=v_end, time_ms=state.time_ms + t_exec,
                    cycles_consumed=state.cycles_consumed + cycles)
 
@@ -214,25 +186,24 @@ class PlanOp:
 
 # Cold start: temperature gate, entropy, readout, key derivation, reply.
 BOOT_OPS = (
-    PlanOp("temp-check", DEFAULT_COSTS.temp_check),
-    PlanOp("trng", DEFAULT_COSTS.trng),
-    PlanOp("puf-readout", DEFAULT_COSTS.puf_readout),
-    PlanOp("fe-gen", DEFAULT_COSTS.fe_gen, FE_GEN_SUBTASKS),
-    PlanOp("reply", DEFAULT_COSTS.frame_handling),
+    PlanOp("temp-check", TEMP_CHECK_CYCLES),
+    PlanOp("trng", TRNG_CYCLES),
+    PlanOp("puf-readout", PUF_READOUT_CYCLES),
+    PlanOp("fe-gen", FE_GEN_CYCLES, FE_GEN_SUBTASKS),
+    PlanOp("reply", FRAME_CYCLES),
 )
 
 
 def update_ops(image_bytes: int, chunk_frames: int) -> tuple[PlanOp, ...]:
     """Post-boot transfer work: frame handling plus the firmware tag check."""
-    costs = DEFAULT_COSTS
-    mac_cycles = costs.mac_cost(image_bytes + 16)
+    mac_cycles = mac_cost(image_bytes + 16)
     aes_blocks = max(1, math.ceil((image_bytes + 16) / 16))
     mac_subtasks = max(1, math.ceil(aes_blocks / MAC_OPS_PER_SUBTASK))
-    ops = [PlanOp("setup-frame", costs.frame_handling),
-           PlanOp("auth-frame", costs.frame_handling)]
-    ops += [PlanOp(f"chunk-{i}", costs.frame_handling) for i in range(chunk_frames)]
+    ops = [PlanOp("setup-frame", FRAME_CYCLES),
+           PlanOp("auth-frame", FRAME_CYCLES)]
+    ops += [PlanOp(f"chunk-{i}", FRAME_CYCLES) for i in range(chunk_frames)]
     ops.append(PlanOp("mac", mac_cycles, mac_subtasks))
-    ops.append(PlanOp("commit", costs.frame_handling))
+    ops.append(PlanOp("commit", FRAME_CYCLES))
     return tuple(ops)
 
 
@@ -270,7 +241,7 @@ def run_ops(
                 _note(trace, out.state, f"brownout:{op.name}")
                 return RunResult(False, out.state.time_ms - t0, out.state,
                                  op.name, sleeps)
-            exec_ms += cycles / state.model.cycles_per_ms
+            exec_ms += cycles / CYCLES_PER_MS
             state = out
             _note(trace, state, f"{op.name}[{i}/{len(parts)}]")
     return RunResult(True, exec_ms + sleeps * sleep_ms, state, sleeps=sleeps)
@@ -289,9 +260,9 @@ def cold_start_session(
 
     Latency is measured from field-on (t = 0), so it includes the charge.
     """
-    k = draw_kappa(DEFAULT_MODEL, seed, trial) if kappa is None else kappa
+    k = draw_kappa(seed, trial) if kappa is None else kappa
     state = EnergyState(v_cap=0.0, distance_cm=distance_cm, kappa=k)
-    t_charge = time_to_voltage(state, DEFAULT_MODEL.v_boot)
+    t_charge = time_to_voltage(state, V_BOOT)
     if math.isinf(t_charge):
         return RunResult(False, math.inf, state, failed_op="charge")
     state = charge(state, t_charge)
@@ -310,29 +281,21 @@ def success_rate(distance_cm: float, sleep_ms: float, trials: int, seed: int) ->
     return wins / trials
 
 
-def single_charge_budget(
-    model: ChargeModel, distance_cm: float, kappa: float
-) -> float:
+def single_charge_budget(distance_cm: float, kappa: float) -> float:
     """Cycles executable from boot voltage until brownout; inf if sustainable."""
-    a = model.rate(kappa, distance_cm)
+    a = _harvest_rate(kappa, distance_cm)
     if a == 0:
-        return (model.v_boot - model.v_min) / model.drain_per_cycle
-    v_eq = model.v_max - model.drain_per_ms / a
-    if v_eq >= model.v_min:
+        return (V_BOOT - V_MIN) / DRAIN_PER_CYCLE
+    v_eq = V_MAX - DRAIN_PER_MS / a
+    if v_eq >= V_MIN:
         return math.inf
-    t_cross = math.log((model.v_boot - v_eq) / (model.v_min - v_eq)) / a
-    return t_cross * model.cycles_per_ms
+    t_cross = math.log((V_BOOT - v_eq) / (V_MIN - v_eq)) / a
+    return t_cross * CYCLES_PER_MS
 
 
-def sample_budgets(
-    distance_cm: float,
-    n: int,
-    seed: int,
-    model: ChargeModel = DEFAULT_MODEL,
-) -> np.ndarray:
+def sample_budgets(distance_cm: float, n: int, seed: int) -> np.ndarray:
     return np.array([
-        single_charge_budget(model, distance_cm, draw_kappa(model, seed, i))
-        for i in range(n)
+        single_charge_budget(distance_cm, draw_kappa(seed, i)) for i in range(n)
     ])
 
 

@@ -10,7 +10,6 @@ commit_firmware after the tag check passes.
 
 from __future__ import annotations
 
-import base64
 import enum
 import random
 import struct
@@ -131,42 +130,6 @@ class FirmwareImage:
         return bytes(buf)
 
 
-def image_to_text(image: FirmwareImage) -> str:
-    lines = [
-        f"total_bytes: {image.total_bytes}",
-        f"segments: {len(image.segments)}",
-    ]
-    for i, s in enumerate(image.segments):
-        lines.append(f"segment {i}: offset={s.load_offset} bytes={len(s.data)}")
-        lines.append(f"data {i}: {base64.b64encode(s.data).decode()}")
-    return "\n".join(lines) + "\n"
-
-
-def image_from_text(text: str) -> FirmwareImage:
-    meta: dict[int, int] = {}
-    data: dict[int, bytes] = {}
-    declared = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if key.startswith("segment "):
-            idx = int(key.split()[1])
-            parts = dict(p.split("=", 1) for p in value.split())
-            meta[idx] = int(parts["offset"])
-        elif key.startswith("data "):
-            data[int(key.split()[1])] = base64.b64decode(value)
-        elif key == "segments":
-            declared = int(value)
-    if declared is None or declared != len(meta) or declared != len(data):
-        raise ValueError("malformed firmware image file")
-    return FirmwareImage(segments=tuple(
-        Segment(load_offset=meta[i], data=data[i]) for i in range(declared)
-    ))
-
-
 def demo_images() -> dict[str, FirmwareImage]:
     """Three fixed pseudorandom images of unequal size."""
     out = {}
@@ -196,9 +159,6 @@ class ProverDb:
             return self._records[token_id]
         except KeyError:
             raise UnknownTokenError(f"token {token_id} not enrolled") from None
-
-    def __contains__(self, token_id: str) -> bool:
-        return token_id in self._records
 
     def __len__(self) -> int:
         return len(self._records)
@@ -472,12 +432,33 @@ class TokenSim:
         return reply
 
 
+def mutate_payload(frame: gen2.Gen2Frame) -> gen2.Gen2Frame:
+    """Flip one payload bit and re-frame with a fresh valid CRC (an active
+    relay), so the token answers instead of staying silent on a bad CRC."""
+    view = gen2.decode(frame)
+    if isinstance(view, gen2.SecureComm):
+        ct = bytearray(view.ciphertext)
+        ct[0] ^= 0x01
+        view = gen2.SecureComm(inner_wordptr=view.inner_wordptr, ciphertext=bytes(ct))
+    elif isinstance(view, gen2.BlockWrite):
+        words = list(view.words)
+        words[0] ^= 0x0001
+        view = gen2.BlockWrite(membank=view.membank, wordptr=view.wordptr,
+                               words=tuple(words))
+    return gen2.encode(view, rn=0)
+
+
 @dataclass
 class TamperPolicy:
-    """Frame-level channel interference, keyed by delivery index."""
+    """Frame-level channel interference, keyed by delivery index.
+
+    A dropped frame never reaches the token; a mutated frame has its
+    payload rewritten by mutate_payload; flips then invert raw frame bits.
+    """
 
     flips: dict[int, tuple[int, ...]] = field(default_factory=dict)
     drops: frozenset[int] = frozenset()
+    mutations: frozenset[int] = frozenset()
 
 
 class Channel:
@@ -494,6 +475,8 @@ class Channel:
         self.counter += 1
         if index in self.policy.drops:
             return None
+        if index in self.policy.mutations:
+            frame = mutate_payload(frame)
         flips = self.policy.flips.get(index)
         if flips:
             bits = frame.bits

@@ -36,6 +36,9 @@ DEFAULT_TEMP_ANCHORS: tuple[tuple[float, float], ...] = (
 
 TRNG_FOLD = 16
 
+# Readouts this close in temperature belong to the same setting
+TEMP_TOL = 0.01
+
 DUMP_MAGIC = b"SPUF"
 DUMP_VERSION = 1
 
@@ -53,7 +56,6 @@ class PufDevice:
     num_cells: int
     cell_one_prob: np.ndarray
     rng_seed: int
-    temp_anchors: tuple[tuple[float, float], ...] = DEFAULT_TEMP_ANCHORS
     trng_region_cells: int = DEFAULT_LAYOUT.trng_cells
 
     def __post_init__(self) -> None:
@@ -87,13 +89,13 @@ class DumpSet:
             raise ValueError("empty dump set")
         return len(self.readouts[0].bits)
 
-    def at_temperature(self, temperature: float, tol: float = 0.01) -> list[Readout]:
-        return [r for r in self.readouts if abs(r.temperature - temperature) <= tol]
+    def at_temperature(self, temperature: float) -> list[Readout]:
+        return [r for r in self.readouts if abs(r.temperature - temperature) <= TEMP_TOL]
 
     def temperatures(self) -> list[float]:
         seen: list[float] = []
         for r in self.readouts:
-            if not any(abs(r.temperature - t) <= 0.01 for t in seen):
+            if not any(abs(r.temperature - t) <= TEMP_TOL for t in seen):
                 seen.append(r.temperature)
         return seen
 
@@ -143,9 +145,9 @@ def synth_device(
     )
 
 
-def temp_scale(device: PufDevice, temperature: float) -> float:
-    xs = [a[0] for a in device.temp_anchors]
-    ys = [a[1] for a in device.temp_anchors]
+def temp_scale(temperature: float) -> float:
+    xs = [a[0] for a in DEFAULT_TEMP_ANCHORS]
+    ys = [a[1] for a in DEFAULT_TEMP_ANCHORS]
     return float(np.interp(temperature, xs, ys))
 
 
@@ -160,7 +162,7 @@ def _temperature_probs(
     p = device.cell_one_prob[lo:hi]
     prefers_one = p >= 0.5
     flip = np.where(prefers_one, 1.0 - p, p)
-    flip = np.minimum(flip * temp_scale(device, temperature), 0.5)
+    flip = np.minimum(flip * temp_scale(temperature), 0.5)
     return np.where(prefers_one, 1.0 - flip, flip)
 
 
@@ -246,33 +248,37 @@ def bias(readouts: Sequence[Sequence[int]]) -> float:
 
 # ----------------------------------------------------------------------- trng
 
+def _trng_cycle(
+    device: PufDevice, probs: np.ndarray, temperature: float, trial_seed: int
+) -> np.ndarray:
+    """One power cycle of the TRNG region, XOR-folded TRNG_FOLD cells to a bit."""
+    per_cycle = probs.size // TRNG_FOLD
+    cells = _sample(device, probs, temperature, trial_seed, 0)
+    folded = cells[: per_cycle * TRNG_FOLD].reshape(per_cycle, TRNG_FOLD).sum(axis=1) % 2
+    return folded.astype(np.uint8)
+
+
 def trng_next(
-    device: PufDevice,
-    nbits: int,
-    trial_seed: int,
-    temperature: float = 25.0,
-    fold: int = TRNG_FOLD,
+    device: PufDevice, nbits: int, trial_seed: int, temperature: float = 25.0
 ) -> np.ndarray:
     """Random bits from XOR-folded power-up values of the TRNG region.
 
-    Each power cycle of the region yields region_cells // fold bits; the
-    call draws fresh cycles until nbits are collected.
+    Each power cycle of the region yields region_cells // TRNG_FOLD bits;
+    the call draws fresh cycles until nbits are collected.
     """
     if not 0 < nbits <= 128:
         raise ValueError("nbits must be in 1..128")
     region = device.trng_region_cells
-    if region < fold:
+    if region < TRNG_FOLD:
         raise InsufficientEntropyError(
-            f"TRNG region of {region} cells cannot feed a {fold}-bit fold"
+            f"TRNG region of {region} cells cannot feed a {TRNG_FOLD}-bit fold"
         )
-    per_cycle = region // fold
     probs = _temperature_probs(device, temperature, 0, region)
     out = np.empty(0, dtype=np.uint8)
     cycle = 0
     while out.size < nbits:
-        cells = _sample(device, probs, temperature, trial_seed * 65536 + cycle, 0)
-        folded = cells[: per_cycle * fold].reshape(per_cycle, fold).sum(axis=1) % 2
-        out = np.concatenate([out, folded.astype(np.uint8)])
+        folded = _trng_cycle(device, probs, temperature, trial_seed * 65536 + cycle)
+        out = np.concatenate([out, folded])
         cycle += 1
     return out[:nbits]
 
@@ -283,22 +289,16 @@ class TrngHealth:
     degenerate: bool
 
 
-def trng_health(
-    device: PufDevice, cycles: int = 200, trial_seed: int = 0, fold: int = TRNG_FOLD
-) -> TrngHealth:
+def trng_health(device: PufDevice, cycles: int = 200, trial_seed: int = 0) -> TrngHealth:
     """Per-fold-position one-frequency over repeated cycles.
 
     Degenerate means some output position is constant across all sampled
     cycles (e.g. a noiseless device).
     """
-    region = device.trng_region_cells
-    per_cycle = region // fold
-    probs = _temperature_probs(device, 25.0, 0, region)
-    acc = np.zeros(per_cycle, dtype=np.int64)
+    probs = _temperature_probs(device, 25.0, 0, device.trng_region_cells)
+    acc = np.zeros(probs.size // TRNG_FOLD, dtype=np.int64)
     for c in range(cycles):
-        cells = _sample(device, probs, 25.0, (trial_seed + 1) * 131072 + c, 0)
-        folded = cells[: per_cycle * fold].reshape(per_cycle, fold).sum(axis=1) % 2
-        acc += folded.astype(np.int64)
+        acc += _trng_cycle(device, probs, 25.0, (trial_seed + 1) * 131072 + c)
     freq = acc / cycles
     degenerate = bool(((freq == 0.0) | (freq == 1.0)).any())
     return TrngHealth(position_freq=freq, degenerate=degenerate)

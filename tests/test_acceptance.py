@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from crfidsim import bch, enroll, fuzzy, mac, powersim, protocol, puf
-from crfidsim.cli import mutate_payload
 from crfidsim.gen2 import (
     Authenticate,
     BadCrcError,
@@ -192,36 +191,33 @@ def test_criterion_06_entropy_formula(capsys):
 
 
 class _FuzzChannel(protocol.Channel):
-    """One randomized action per session, on either direction of the link."""
+    """One randomized action per session, on either direction of the link.
+
+    Flips, drops and payload mutations go through the library's
+    TamperPolicy; the other kinds are applied here around Channel.send.
+    """
 
     def __init__(self, token, kind, at, bit):
-        super().__init__(token, protocol.TamperPolicy())
+        super().__init__(token, protocol.TamperPolicy(
+            flips={at: (bit,)} if kind == "flip" else {},
+            drops=frozenset({at}) if kind == "drop" else frozenset(),
+            mutations=frozenset({at}) if kind == "mutate" else frozenset(),
+        ))
         self.kind, self.at, self.bit = kind, at, bit
-        self.n = 0
         self.volatility_violations = 0
 
     def send(self, frame):
-        i = self.n
-        self.n += 1
-        if i == self.at:
-            if self.kind == "brownout":
-                self.token.inject_brownout()
-                st = self.token.state
-                wiped = (st.sk is None and st.nonce is None
-                         and st.challenge is None and st.helper is None)
-                self.volatility_violations += not wiped
-            elif self.kind == "drop":
-                return None
-            elif self.kind == "flip":
-                frame = Gen2Frame(
-                    bits=frame.bits.flip(self.bit % frame.bits.length)
-                )
-            elif self.kind == "mutate":
-                frame = mutate_payload(frame)
+        hit = self.counter == self.at
+        if hit and self.kind == "brownout":
+            self.token.inject_brownout()
+            st = self.token.state
+            wiped = (st.sk is None and st.nonce is None
+                     and st.challenge is None and st.helper is None)
+            self.volatility_violations += not wiped
         reply = super().send(frame)
-        if i == self.at and self.kind == "replay":
+        if hit and self.kind == "replay":
             reply = super().send(frame)
-        if i == self.at and isinstance(reply, protocol.AuthReply):
+        if hit and isinstance(reply, protocol.AuthReply):
             if self.kind == "nonce":
                 raw = bytearray(reply.nonce)
                 raw[self.bit % len(raw)] ^= 1 << (self.bit % 8)
@@ -393,7 +389,7 @@ def test_criterion_09_power_trends(capsys):
 
     # (c) exact latency accounting
     state = powersim.EnergyState(v_cap=2.5, distance_cm=20.0, kappa=60.0)
-    fe_gen = (powersim.PlanOp("fe-gen", powersim.DEFAULT_COSTS.fe_gen, 8),)
+    fe_gen = (powersim.PlanOp("fe-gen", powersim.FE_GEN_CYCLES, 8),)
     base = powersim.run_ops(fe_gen, 0, state)
     latency_exact = all(
         powersim.run_ops(fe_gen, s, state).latency_ms == base.latency_ms + 7 * s

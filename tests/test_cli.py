@@ -184,6 +184,15 @@ class TestUpdate:
         assert committed >= 4
         assert all(float(r[3]) > 0 for r in rows if r[1] == "COMMITTED")
 
+    def test_overflowing_harvest_rate_commits(self, capsys):
+        # at 1e-160 cm, kappa / d^2 overflows to inf; the token still boots
+        argv = ("update", "--trials", "2", "--distance-cm")
+        code, tiny = run_cli(capsys, *argv, "1e-160")
+        _, small = run_cli(capsys, *argv, "1e-150")
+        assert code == 0
+        assert [r[1] for r in rows_of("update", tiny.out)] == ["COMMITTED"] * 2
+        assert tiny.out == small.out
+
     def test_powered_far_range_browns_out(self, capsys):
         code, cap = run_cli(
             capsys, "update", "--seed", "11", "--image", "blinky",
@@ -333,6 +342,19 @@ def test_out_under_a_regular_file_is_input_error(capsys, tmp_path, command):
     assert code == 3
     assert "cannot create output directory" in cap.err
     assert cap.out == ""
+
+
+@pytest.mark.parametrize("argv,blocked", [
+    (["enroll"], "enroll.tsv"),
+    (["enroll"], "dev-0000.record.txt"),
+    (["update", "--image", "boot-shim"], "transcript-0.txt"),
+])
+def test_unwritable_out_file_is_input_error(capsys, tmp_path, argv, blocked):
+    (tmp_path / blocked).mkdir()
+    code, cap = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 3
+    assert "cannot write" in cap.err and blocked in cap.err
+    assert "Traceback" not in cap.err
 
 
 def test_exit_code_map_is_total():

@@ -1,5 +1,7 @@
 """Enrollment pipeline tests with hand-crafted readout sets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -169,13 +171,6 @@ class TestEfficiency:
         )
         assert f"{100 * enroll.efficiency(m):.3g}" == shown
 
-    def test_rejects_bad_denominator(self):
-        m = enroll.CrpBlockMap(
-            blocks=(enroll.CrpBlock(start_address=128, offsets=tuple(range(31))),)
-        )
-        with pytest.raises(ValueError):
-            enroll.efficiency(m, eligible_bits=0)
-
 
 class TestChallengeToResponse:
     def make_map(self):
@@ -292,3 +287,31 @@ class TestRecordSerialization:
         assert text.startswith("device_id: tok-3\n")
         assert "block 0: start=" in text
         assert "ref 0: " in text
+
+
+class TestPinnedOutputs:
+    """Pinned outputs of one device: the enrollment recipe, the TRNG fold and
+    the temperature anchors must not move them."""
+
+    def test_record_text_and_efficiency(self):
+        record = enroll.enroll_device(puf.synth_device(seed=11), "pin")
+        text = enroll.record_to_text(record)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2c9702602298a471c8f41c0d633bbeb796b3e77cd1199ecbb0f35d6ce8c880b1"
+        )
+        assert enroll.efficiency(record.crp_map) == 0.11151079136690648
+
+    def test_trng_bits(self):
+        bits = puf.trng_next(puf.synth_device(seed=11), 128, trial_seed=5,
+                             temperature=10.0)
+        assert bits.dtype == np.uint8
+        assert np.packbits(bits).tobytes().hex() == "05340bceb25600c71e0863765894b9b2"
+
+    def test_trng_health_frequencies(self):
+        health = puf.trng_health(puf.synth_device(seed=11), cycles=20)
+        ones = [13, 10, 11, 10, 13, 8, 12, 8, 14, 8, 11, 11, 8, 13, 12, 13,
+                9, 11, 11, 11, 12, 9, 11, 3, 9, 12, 12, 12, 11, 8, 12, 9,
+                8, 8, 8, 9, 12, 10, 9, 13, 15, 8, 8, 10, 14, 13, 12, 10,
+                12, 12, 10, 13, 8, 10, 9, 10, 5, 9, 10, 10, 13, 7, 7, 13]
+        assert health.position_freq.tolist() == [c / 20 for c in ones]
+        assert not health.degenerate

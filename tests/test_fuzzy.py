@@ -323,3 +323,30 @@ def test_mc_key_failure_converges_small():
 def test_decode_tables_reject_large_code():
     with pytest.raises(ValueError):
         fuzzy.build_decode_tables(bch.make_code(63, 24, 7))
+
+
+def _correct_or_minus_one(s, code):
+    try:
+        return bch.correct(0, s, code)
+    except bch.DecodeFailure:
+        return -1
+
+
+@pytest.mark.parametrize("n,k,t", [(7, 4, 1), (31, 16, 3)])
+def test_leader_table_agrees_with_scalar_decoder(n, k, t):
+    """The Monte-Carlo's coset-leader table and the protocol's bch.correct
+    decode every checked syndrome to the same error mask (-1: no correction).
+
+    (7,4,1) is checked exhaustively. For (31,16,3), every syndrome with a
+    leader is checked, plus a seeded sample of 2,000 of the rest.
+    """
+    code = bch.make_code(n, k, t)
+    leaders = fuzzy.build_decode_tables(code).leaders
+    with_leader = np.flatnonzero(leaders >= 0)
+    without = np.flatnonzero(leaders < 0)
+    if len(without) > 2000:
+        without = np.random.default_rng(20_250_301).choice(without, 2000, replace=False)
+    for s in np.concatenate([with_leader, without]).tolist():
+        assert leaders[s] == _correct_or_minus_one(s, code), s
+    if n == 31:
+        assert len(with_leader) == 4992

@@ -74,13 +74,6 @@ class TestMacFirmware:
         direct = mac.cmac(NIST_KEY, fw + nonce)
         assert mac.mac_firmware(fw, nonce, NIST_KEY) == direct
 
-    def test_int_nonce_is_big_endian(self):
-        fw = b"fw"
-        n = 0x0123456789ABCDEF0123456789ABCDEF
-        assert mac.mac_firmware(fw, n, NIST_KEY) == mac.mac_firmware(
-            fw, n.to_bytes(16, "big"), NIST_KEY
-        )
-
     def test_nonce_bit_changes_tag(self):
         fw = secrets.token_bytes(240)
         nonce = bytearray(16)
@@ -95,8 +88,6 @@ class TestMacFirmware:
         assert mac.mac_firmware(fw[:-64], nonce, NIST_KEY) != a
 
     def test_nonce_range_checked(self):
-        with pytest.raises(ValueError):
-            mac.mac_firmware(b"", 1 << 128, NIST_KEY)
         with pytest.raises(ValueError):
             mac.mac_firmware(b"", b"\x00" * 15, NIST_KEY)
 

@@ -11,9 +11,6 @@ from crfidsim import powersim as ps
 from crfidsim import enroll, protocol, puf
 from crfidsim.gen2 import TagPrivilege, encode
 
-MODEL = ps.DEFAULT_MODEL
-COSTS = ps.DEFAULT_COSTS
-
 
 def state_at(v, distance=40.0, kappa=16.0):
     return ps.EnergyState(v_cap=v, distance_cm=distance, kappa=kappa)
@@ -21,29 +18,23 @@ def state_at(v, distance=40.0, kappa=16.0):
 
 class TestCostTable:
     def test_table_defaults(self):
-        assert COSTS.trng == 375
-        assert COSTS.puf_readout == 615
-        assert COSTS.temp_check == 734
-        assert COSTS.fe_gen == 109_234
-        assert COSTS.mac_per_240_bytes == 22_197
-
-    def test_costs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ps.CostTable(trng=0)
-        with pytest.raises(ValueError):
-            ps.CostTable(frame_handling=-1)
+        assert ps.TRNG_CYCLES == 375
+        assert ps.PUF_READOUT_CYCLES == 615
+        assert ps.TEMP_CHECK_CYCLES == 734
+        assert ps.FE_GEN_CYCLES == 109_234
+        assert ps.MAC_CYCLES_PER_240_BYTES == 22_197
 
     def test_mac_cost_linear_in_bytes(self):
-        base = COSTS.mac_cost(240)
+        base = ps.mac_cost(240)
         assert base == 22_197
-        assert COSTS.mac_cost(480) == 2 * base
-        assert COSTS.mac_cost(720) == 3 * base
+        assert ps.mac_cost(480) == 2 * base
+        assert ps.mac_cost(720) == 3 * base
 
     def test_mac_cost_monotone(self):
-        costs = [COSTS.mac_cost(n) for n in range(16, 2048, 16)]
+        costs = [ps.mac_cost(n) for n in range(16, 2048, 16)]
         assert all(a <= b for a, b in zip(costs, costs[1:]))
         with pytest.raises(ValueError):
-            COSTS.mac_cost(-1)
+            ps.mac_cost(-1)
 
 
 class TestSubtaskPlan:
@@ -74,7 +65,7 @@ class TestCharging:
         prev = s
         for _ in range(40):
             nxt = ps.charge(prev, 10.0)
-            assert prev.v_cap < nxt.v_cap < MODEL.v_max
+            assert prev.v_cap < nxt.v_cap < ps.V_MAX
             prev = nxt
         assert prev.v_cap > 2.9
 
@@ -86,15 +77,28 @@ class TestCharging:
 
     def test_time_to_voltage_round_trip(self):
         s = state_at(0.0, distance=30.0, kappa=12.0)
-        t = ps.time_to_voltage(s, MODEL.v_boot)
+        t = ps.time_to_voltage(s, ps.V_BOOT)
         landed = ps.charge(s, t)
-        assert landed.v_cap == pytest.approx(MODEL.v_boot, abs=1e-12)
+        assert landed.v_cap == pytest.approx(ps.V_BOOT, abs=1e-12)
 
     def test_time_to_voltage_edges(self):
         s = state_at(2.5)
         assert ps.time_to_voltage(s, 2.0) == 0.0
-        assert math.isinf(ps.time_to_voltage(s, MODEL.v_max))
+        assert math.isinf(ps.time_to_voltage(s, ps.V_MAX))
         assert math.isinf(ps.time_to_voltage(state_at(1.0, kappa=0.0), 2.0))
+
+    def test_overflowing_rate_fills_at_once(self):
+        # kappa / d^2 overflows to inf: the capacitor is full without waiting
+        s = state_at(0.0, distance=1e-160)
+        assert math.isinf(s.rate)
+        assert ps.time_to_voltage(s, ps.V_BOOT) == 0.0
+        full = ps.charge(s, 0.0)
+        assert full.v_cap == ps.V_MAX
+        assert full.time_ms == 0.0
+        assert ps.charge(s, 5.0).v_cap == ps.V_MAX
+        res = ps.cold_start_session(1e-160, 0, seed=1)
+        assert res.success
+        assert res.latency_ms == ps.cold_start_session(1e-150, 0, seed=1).latency_ms
 
 
 class TestStep:
@@ -110,14 +114,14 @@ class TestStep:
         assert out.time_ms == pytest.approx(1.0)
 
     def test_zero_harvest_budget_ceil_exact(self):
-        s = state_at(MODEL.v_boot, kappa=0.0)
-        budget = (MODEL.v_boot - MODEL.v_min) / MODEL.drain_per_cycle
+        s = state_at(ps.V_BOOT, kappa=0.0)
+        budget = (ps.V_BOOT - ps.V_MIN) / ps.DRAIN_PER_CYCLE
         alive = ps.step(s, math.floor(budget))
         assert isinstance(alive, ps.EnergyState)
         dead = ps.step(s, math.ceil(budget))
         assert isinstance(dead, ps.Brownout)
         assert dead.cycles_executed == math.floor(budget)
-        assert dead.state.v_cap == MODEL.v_min
+        assert dead.state.v_cap == ps.V_MIN
 
     def test_sustainable_equilibrium_never_browns_out(self):
         # at 20 cm with a strong harvest draw the execution equilibrium
@@ -125,7 +129,7 @@ class TestStep:
         s = state_at(2.0, distance=20.0, kappa=60.0)
         out = ps.step(s, 10_000_000)
         assert isinstance(out, ps.EnergyState)
-        assert out.v_cap >= MODEL.v_min
+        assert out.v_cap >= ps.V_MIN
 
     def test_below_floor_is_immediate_brownout(self):
         out = ps.step(state_at(1.7), 1)
@@ -136,7 +140,7 @@ class TestStep:
         s = state_at(2.0, distance=50.0, kappa=5.0)
         out = ps.step(s, 10_000_000)
         assert isinstance(out, ps.Brownout)
-        assert out.state.v_cap == MODEL.v_min
+        assert out.state.v_cap == ps.V_MIN
         assert 0 < out.cycles_executed < 10_000_000
 
     def test_negative_cycles_rejected(self):
@@ -148,9 +152,9 @@ class TestStep:
     def test_survivor_voltage_in_range(self, kappa, cycles):
         out = ps.step(state_at(2.0, kappa=kappa), cycles)
         if isinstance(out, ps.EnergyState):
-            assert MODEL.v_min <= out.v_cap <= MODEL.v_max
+            assert ps.V_MIN <= out.v_cap <= ps.V_MAX
         else:
-            assert out.state.v_cap == MODEL.v_min
+            assert out.state.v_cap == ps.V_MIN
 
 
 class TestRunWithIem:
@@ -171,9 +175,9 @@ class TestRunWithIem:
 
     def test_latency_delta_is_exact(self):
         s = state_at(2.5, distance=20.0, kappa=60.0)
-        base = ps.run_ops((ps.PlanOp("fe-gen", COSTS.fe_gen, 8),), 0, s)
+        base = ps.run_ops((ps.PlanOp("fe-gen", ps.FE_GEN_CYCLES, 8),), 0, s)
         for sleep in (10, 20, 30):
-            slept = ps.run_ops((ps.PlanOp("fe-gen", COSTS.fe_gen, 8),), sleep, s)
+            slept = ps.run_ops((ps.PlanOp("fe-gen", ps.FE_GEN_CYCLES, 8),), sleep, s)
             assert slept.success
             assert slept.latency_ms == base.latency_ms + 7 * sleep
             assert slept.sleeps == 7
@@ -182,12 +186,12 @@ class TestRunWithIem:
         # budget below the key-derivation cost: continuous execution dies,
         # interleaving recharges enough to finish
         s = state_at(2.0, distance=40.0, kappa=5.0)
-        assert ps.single_charge_budget(MODEL, 40.0, 5.0) < COSTS.fe_gen
-        plain = ps.run_ops((ps.PlanOp("fe-gen", COSTS.fe_gen, 8),), 0, s)
-        slept = ps.run_ops((ps.PlanOp("fe-gen", COSTS.fe_gen, 8),), 30, s)
+        assert ps.single_charge_budget(40.0, 5.0) < ps.FE_GEN_CYCLES
+        plain = ps.run_ops((ps.PlanOp("fe-gen", ps.FE_GEN_CYCLES, 8),), 0, s)
+        slept = ps.run_ops((ps.PlanOp("fe-gen", ps.FE_GEN_CYCLES, 8),), 30, s)
         assert not plain.success
         assert plain.failed_op == "fe-gen"
-        assert plain.state.v_cap == MODEL.v_min
+        assert plain.state.v_cap == ps.V_MIN
         assert slept.success
 
     def test_success_monotone_in_sleep(self):
@@ -201,22 +205,22 @@ class TestRunWithIem:
 
 class TestBudgets:
     def test_zero_rate_budget_closed_form(self):
-        expected = (MODEL.v_boot - MODEL.v_min) / MODEL.drain_per_cycle
-        assert ps.single_charge_budget(MODEL, 50.0, 0.0) == expected
+        expected = (ps.V_BOOT - ps.V_MIN) / ps.DRAIN_PER_CYCLE
+        assert ps.single_charge_budget(50.0, 0.0) == expected
 
     def test_sustainable_is_infinite(self):
-        assert math.isinf(ps.single_charge_budget(MODEL, 20.0, 60.0))
+        assert math.isinf(ps.single_charge_budget(20.0, 60.0))
 
     def test_budget_monotone_in_kappa_and_distance(self):
-        by_kappa = [ps.single_charge_budget(MODEL, 50.0, k) for k in (4, 8, 16, 32)]
+        by_kappa = [ps.single_charge_budget(50.0, k) for k in (4, 8, 16, 32)]
         assert all(a < b for a, b in zip(by_kappa, by_kappa[1:]))
-        by_dist = [ps.single_charge_budget(MODEL, d, 16.0) for d in (30, 40, 50, 80)]
+        by_dist = [ps.single_charge_budget(d, 16.0) for d in (30, 40, 50, 80)]
         assert all(a > b for a, b in zip(by_dist, by_dist[1:]))
 
     def test_budget_agrees_with_step(self):
         for kappa in (3.0, 9.0, 30.0):
-            budget = ps.single_charge_budget(MODEL, 50.0, kappa)
-            s = state_at(MODEL.v_boot, distance=50.0, kappa=kappa)
+            budget = ps.single_charge_budget(50.0, kappa)
+            s = state_at(ps.V_BOOT, distance=50.0, kappa=kappa)
             assert isinstance(ps.step(s, math.floor(budget)), ps.EnergyState)
             assert isinstance(ps.step(s, math.ceil(budget) + 1), ps.Brownout)
 
@@ -272,9 +276,9 @@ class TestColdStart:
     def test_latency_includes_charge_and_execution(self):
         res = ps.cold_start_session(20.0, 0, seed=1, kappa=60.0)
         assert res.success
-        exec_ms = sum(op.cycles for op in ps.BOOT_OPS) / MODEL.cycles_per_ms
+        exec_ms = sum(op.cycles for op in ps.BOOT_OPS) / ps.CYCLES_PER_MS
         charge_ms = ps.time_to_voltage(
-            state_at(0.0, distance=20.0, kappa=60.0), MODEL.v_boot
+            state_at(0.0, distance=20.0, kappa=60.0), ps.V_BOOT
         )
         assert res.latency_ms == pytest.approx(exec_ms + charge_ms)
 
@@ -313,15 +317,11 @@ class TestColdStart:
         assert names[-1] == "commit"
         assert sum(n.startswith("chunk-") for n in names) == 7
         mac_op = next(op for op in ops if op.name == "mac")
-        assert mac_op.cycles == COSTS.mac_cost(399 + 16)
+        assert mac_op.cycles == ps.mac_cost(399 + 16)
         # 415 bytes pad to 26 AES blocks, under one 32-block subtask
         assert mac_op.subtasks == 1
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            ps.ChargeModel(v_min=2.5)
-        with pytest.raises(ValueError):
-            ps.ChargeModel(drain_per_cycle=0.0)
         with pytest.raises(ValueError):
             state_at(2.0, distance=0.0).rate
 

@@ -53,17 +53,6 @@ class TestFirmwareImage:
         with pytest.raises(ValueError):
             protocol.Segment(load_offset=-1, data=b"x")
 
-    def test_text_round_trip(self):
-        img = protocol.FirmwareImage(segments=(
-            protocol.Segment(load_offset=0, data=b"hello"),
-            protocol.Segment(load_offset=40, data=bytes(range(64))),
-        ))
-        assert protocol.image_from_text(protocol.image_to_text(img)) == img
-
-    def test_malformed_text_rejected(self):
-        with pytest.raises(ValueError):
-            protocol.image_from_text("segments: 2\nsegment 0: offset=0 bytes=1\ndata 0: AA==\n")
-
     def test_demo_images_fixed(self):
         imgs = protocol.demo_images()
         assert {n: i.total_bytes for n, i in imgs.items()} == {

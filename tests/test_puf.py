@@ -97,10 +97,9 @@ def test_readout_cells_temperature_range():
 
 
 def test_temp_scale_nominal_is_one():
-    dev = puf.synth_device(seed=3)
-    assert puf.temp_scale(dev, 25.0) == 1.0
-    assert puf.temp_scale(dev, 0.0) > 1.0
-    assert puf.temp_scale(dev, 80.0) > puf.temp_scale(dev, 40.0)
+    assert puf.temp_scale(25.0) == 1.0
+    assert puf.temp_scale(0.0) > 1.0
+    assert puf.temp_scale(80.0) > puf.temp_scale(40.0)
 
 
 def test_flip_rate_nondecreasing_away_from_nominal():
