@@ -7,6 +7,9 @@ exponential trajectories, and the 1.8 V crossing is solved exactly
 rather than time-stepped. Each session draws its own kappa from a
 log-normal spread; drawing by (seed, trial) keeps the draws common
 across distance and sleep settings so trend comparisons are paired.
+Success is monotone in a, so a cold start succeeds exactly when a
+reaches its sleep setting's critical rate, and sweeps compare each draw
+with that rate instead of simulating it.
 
 Cycle costs per protocol step (key derivation dominating at ~109k
 cycles, tag computation scaling linearly with message bytes) match the
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,8 +57,11 @@ def mac_cost(message_bytes: int) -> int:
 
 
 def _harvest_rate(kappa: float, distance_cm: float) -> float:
-    if distance_cm <= 0:
+    # written as "not >" so that NaN fails too
+    if not distance_cm > 0:
         raise ValueError("distance must be positive")
+    if not kappa >= 0:
+        raise ValueError("kappa must be non-negative")
     return kappa / distance_cm**2
 
 
@@ -207,6 +214,11 @@ def update_ops(image_bytes: int, chunk_frames: int) -> tuple[PlanOp, ...]:
     return tuple(ops)
 
 
+def _check_sleep(sleep_ms: float) -> None:
+    if sleep_ms not in SLEEP_CHOICES:
+        raise ValueError(f"sleep_ms must be one of {SLEEP_CHOICES}")
+
+
 def run_ops(
     ops: Sequence[PlanOp],
     sleep_ms: float,
@@ -222,8 +234,7 @@ def run_ops(
     holds bit for bit. On a brownout, latency is the time elapsed and
     failed_op names the op that browned out.
     """
-    if sleep_ms not in SLEEP_CHOICES:
-        raise ValueError(f"sleep_ms must be one of {SLEEP_CHOICES}")
+    _check_sleep(sleep_ms)
     t0 = state.time_ms
     exec_ms = 0.0
     sleeps = 0
@@ -271,14 +282,75 @@ def cold_start_session(
     return replace(res, latency_ms=res.state.time_ms)
 
 
+# Relative half-width of the band around critical_rate whose trials are
+# simulated instead of decided by comparison; the bisection brackets the
+# threshold four orders of magnitude tighter.
+CRITICAL_MARGIN = 1e-9
+_BISECT_WIDTH = 1e-13
+
+
+@lru_cache(maxsize=len(SLEEP_CHOICES))
+def critical_rate(sleep_ms: float) -> float:
+    """Least harvest rate a* (1/ms) at which a cold start survives BOOT_OPS.
+
+    Success is monotone in a = kappa/d^2: during execution
+    dV/dt = a*(V_MAX - V) - drain and idle charging has no drain, so a
+    larger a never lowers the voltage path, and a session browns out only
+    when that path ends a step below V_MIN. A session at distance 1 runs at
+    exactly the float kappa, so bisection on it brackets a* from above to a
+    relative width of _BISECT_WIDTH.
+    """
+    _check_sleep(sleep_ms)
+
+    def survives(a: float) -> bool:
+        return cold_start_session(1.0, sleep_ms, 0, kappa=a).success
+
+    lo, hi = 0.0, 1.0
+    while not survives(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > _BISECT_WIDTH * hi:
+        mid = 0.5 * (lo + hi)
+        if survives(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def success_rate(distance_cm: float, sleep_ms: float, trials: int, seed: int) -> float:
-    """Monte-Carlo cold-start success; kappa draws are paired across settings."""
+    """Monte-Carlo cold-start success; kappa draws are paired across settings.
+
+    Each trial compares its harvest rate with critical_rate(sleep_ms). A
+    rate within CRITICAL_MARGIN of it is simulated with cold_start_session,
+    so every decision equals the simulated session's.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _harvest_rate(0.0, distance_cm)   # reject a bad distance before any trial
+    a_star = critical_rate(sleep_ms)  # and a bad sleep
+    lo, hi = a_star * (1 - CRITICAL_MARGIN), a_star * (1 + CRITICAL_MARGIN)
     wins = 0
     for trial in range(trials):
-        wins += cold_start_session(distance_cm, sleep_ms, seed, trial=trial).success
+        kappa = draw_kappa(seed, trial)
+        a = _harvest_rate(kappa, distance_cm)
+        if lo < a < hi:
+            wins += cold_start_session(distance_cm, sleep_ms, seed, trial,
+                                       kappa).success
+        else:
+            wins += a >= hi
     return wins / trials
+
+
+def success_prob(distance_cm: float, sleep_ms: float) -> float:
+    """Closed-form cold-start success: P(kappa/d^2 >= a*) for log-normal kappa.
+
+    1 - Phi(ln(a* d^2 / KAPPA_MEDIAN) / KAPPA_SIGMA), the limit of
+    success_rate as trials grow.
+    """
+    _harvest_rate(0.0, distance_cm)   # reject a bad distance
+    a_star = critical_rate(sleep_ms)
+    z = math.log(a_star * distance_cm**2 / KAPPA_MEDIAN) / KAPPA_SIGMA
+    return 0.5 * math.erfc(z / math.sqrt(2))
 
 
 def single_charge_budget(distance_cm: float, kappa: float) -> float:

@@ -326,6 +326,97 @@ class TestColdStart:
             state_at(2.0, distance=0.0).rate
 
 
+class TestInputValidation:
+    """A NaN or negative input raises instead of reporting a NaN success."""
+
+    @pytest.mark.parametrize("distance,kappa", [
+        (math.nan, None), (40.0, math.nan), (40.0, -1.0), (-40.0, None),
+    ])
+    def test_cold_start_rejects(self, distance, kappa):
+        with pytest.raises(ValueError):
+            ps.cold_start_session(distance, 0, 1, kappa=kappa)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 0, 5, 1), (0.0, 0, 5, 1), (-20.0, 0, 5, 1),
+        (40.0, 5, 5, 1), (40.0, math.nan, 5, 1), (40.0, 0, 0, 1),
+    ])
+    def test_success_rate_rejects_before_any_trial(self, monkeypatch, args):
+        def no_draw(seed, trial):
+            raise AssertionError("a trial ran")
+        monkeypatch.setattr(ps, "draw_kappa", no_draw)
+        with pytest.raises(ValueError):
+            ps.success_rate(*args)
+
+    def test_infinite_distance_fails_on_both_paths(self):
+        res = ps.cold_start_session(math.inf, 0, 1)
+        assert (res.success, res.failed_op) == (False, "charge")
+        assert ps.success_rate(math.inf, 0, 5, 1) == 0.0
+        assert ps.success_prob(math.inf, 0) == 0.0
+
+
+class TestCriticalRate:
+    """success_rate decides trials against critical_rate; it must agree with
+    cold_start_session on every trial, which bench's power-sweep re-checks."""
+
+    DISTANCES = (20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
+
+    def test_brackets_the_transition(self):
+        for sleep in ps.SLEEP_CHOICES:
+            a_star = ps.critical_rate(sleep)
+            assert ps.cold_start_session(1.0, sleep, 0, kappa=a_star).success
+            below = a_star * (1 - 1e-12)
+            assert not ps.cold_start_session(1.0, sleep, 0, kappa=below).success
+
+    def test_sleep_lowers_the_threshold(self):
+        rates = [ps.critical_rate(s) for s in ps.SLEEP_CHOICES]
+        assert all(a > b for a, b in zip(rates, rates[1:]))
+
+    def test_rejects_sleeps_outside_choices(self):
+        for bad in (5, -10, math.nan):
+            with pytest.raises(ValueError):
+                ps.critical_rate(bad)
+
+    def test_threshold_matches_simulation_per_trial(self):
+        for seed in range(10):
+            for d in self.DISTANCES:
+                for s in ps.SLEEP_CHOICES:
+                    sims = [ps.cold_start_session(d, s, seed, trial=t).success
+                            for t in range(20)]
+                    assert ps.success_rate(d, s, 20, seed) == sum(sims) / 20
+
+    # trial t draws kappa = a* d^2 FACTORS[t]: the inner two fall inside
+    # CRITICAL_MARGIN and are simulated, the outer two are compared
+    FACTORS = (1 - 1e-6, 1 - 1e-10, 1 + 1e-10, 1 + 1e-6)
+
+    def test_trials_at_the_threshold_match_simulation(self, monkeypatch):
+        for d in self.DISTANCES:
+            for s in ps.SLEEP_CHOICES:
+                a_star = ps.critical_rate(s)
+                monkeypatch.setattr(
+                    ps, "draw_kappa",
+                    lambda seed, trial: a_star * d * d * self.FACTORS[trial])
+                sims = [ps.cold_start_session(d, s, 0, trial=t).success
+                        for t in range(len(self.FACTORS))]
+                got = ps.success_rate(d, s, len(self.FACTORS), 0)
+                assert got == sum(sims) / len(sims)
+                assert sims == [False, False, True, True]
+
+    def test_success_prob_matches_monte_carlo(self):
+        # seed, trials and the 4-SE bound were fixed before the first run
+        n = 2000
+        for d in self.DISTANCES:
+            for s in ps.SLEEP_CHOICES:
+                p = ps.success_prob(d, s)
+                se = max(math.sqrt(p * (1 - p) / n), 1 / n)
+                assert abs(ps.success_rate(d, s, n, seed=42) - p) <= 4 * se
+
+    def test_success_prob_trends(self):
+        for s in ps.SLEEP_CHOICES:
+            probs = [ps.success_prob(d, s) for d in self.DISTANCES]
+            assert all(a > b for a, b in zip(probs, probs[1:]))
+        assert ps.success_prob(40.0, 0) < ps.success_prob(40.0, 30)
+
+
 class TestBrownoutClearsTokenState:
     def test_volatile_zeroed_before_any_further_frame(self):
         device = puf.synth_device(seed=11)
