@@ -54,7 +54,6 @@ class BchParams:
     m: int
     field_poly: int
     generator_poly: int
-    info_positions: tuple[int, ...]
 
 
 class GaloisField:
@@ -173,7 +172,6 @@ def make_code(n: int, k: int, t: int) -> BchParams:
         n=n, k=k, t=t, m=m,
         field_poly=FIELD_POLYS[m],
         generator_poly=g,
-        info_positions=tuple(range(n - k, n)),
     )
 
 

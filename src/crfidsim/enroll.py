@@ -75,7 +75,6 @@ class CrpBlock:
 @dataclass(frozen=True)
 class CrpBlockMap:
     blocks: tuple[CrpBlock, ...]
-    block_bytes: int = BLOCK_BYTES
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -89,10 +88,6 @@ class EnrollmentRecord:
     device_id: str
     crp_map: CrpBlockMap
     references: tuple[int, ...]    # 248-bit response per block
-    corner_temps: tuple[float, ...] = DEFAULT_CORNER_TEMPS
-    nominal_temp: float = NOMINAL_TEMP
-    corner_readouts: int = 0
-    nominal_readouts: int = 0
 
     def reference_for_challenge(self, c: int) -> int:
         return self.references[c % len(self.crp_map)]
@@ -182,7 +177,7 @@ def build_map(mask: StableByteMask) -> CrpBlockMap:
 
 def efficiency(crp_map: CrpBlockMap) -> float:
     """Fraction of the eligible region turned into usable response bits."""
-    return len(crp_map) * 8 * crp_map.block_bytes / DEFAULT_LAYOUT.eligible_bits
+    return len(crp_map) * BLOCK_BITS / DEFAULT_LAYOUT.eligible_bits
 
 
 def challenge_to_response(
@@ -202,27 +197,13 @@ def challenge_to_response(
     return int.from_bytes(np.packbits(bits[cells], bitorder="little").tobytes(), "little")
 
 
-def build_record(
-    device_id: str,
-    mask: StableByteMask,
-    crp_map: CrpBlockMap,
-    corner_temps: Sequence[float] = DEFAULT_CORNER_TEMPS,
-    corner_readouts: int = 0,
-    nominal_readouts: int = 0,
-) -> EnrollmentRecord:
+def build_record(device_id: str, mask: StableByteMask, crp_map: CrpBlockMap) -> EnrollmentRecord:
     by_addr = dict(zip(mask.addresses, mask.values))
     references = []
     for block in crp_map.blocks:
         values = bytes(by_addr[a] for a in block.addresses())
         references.append(int.from_bytes(values, "little"))
-    return EnrollmentRecord(
-        device_id=device_id,
-        crp_map=crp_map,
-        references=tuple(references),
-        corner_temps=tuple(corner_temps),
-        corner_readouts=corner_readouts,
-        nominal_readouts=nominal_readouts,
-    )
+    return EnrollmentRecord(device_id=device_id, crp_map=crp_map, references=tuple(references))
 
 
 def enroll_device(device: puf.PufDevice, device_id: str) -> EnrollmentRecord:
@@ -233,8 +214,7 @@ def enroll_device(device: puf.PufDevice, device_id: str) -> EnrollmentRecord:
                                trial_seed_base=TRIAL_SEED_BASE + 1000)
     winnowed = debias(pre_select(corners, nominal))
     crp_map = build_map(winnowed)
-    return build_record(device_id, winnowed, crp_map, DEFAULT_CORNER_TEMPS,
-                        CORNER_READOUTS, NOMINAL_READOUTS)
+    return build_record(device_id, winnowed, crp_map)
 
 
 def measure_pipeline_ber(
@@ -255,32 +235,38 @@ def measure_pipeline_ber(
             for c in range(len(record.crp_map)):
                 got = challenge_to_response(record.crp_map, c, r.bits)
                 errors += (got ^ record.references[c]).bit_count()
-                bits += 8 * record.crp_map.block_bytes
+                bits += BLOCK_BITS
     return errors / bits
 
 
 # -------------------------------------------------------------- persistence
 
+# The recipe every record was enrolled under, stated in each record file
+RECIPE_LINES = {
+    "corner_temps": ",".join(str(t) for t in DEFAULT_CORNER_TEMPS),
+    "nominal_temp": str(NOMINAL_TEMP),
+    "corner_readouts": str(CORNER_READOUTS),
+    "nominal_readouts": str(NOMINAL_READOUTS),
+    "block_bytes": str(BLOCK_BYTES),
+}
+
+
 def record_to_text(record: EnrollmentRecord) -> str:
-    lines = [
-        f"device_id: {record.device_id}",
-        f"corner_temps: {','.join(str(t) for t in record.corner_temps)}",
-        f"nominal_temp: {record.nominal_temp}",
-        f"corner_readouts: {record.corner_readouts}",
-        f"nominal_readouts: {record.nominal_readouts}",
-        f"block_bytes: {record.crp_map.block_bytes}",
-        f"blocks: {len(record.crp_map)}",
-    ]
+    lines = [f"device_id: {record.device_id}"]
+    lines += [f"{key}: {value}" for key, value in RECIPE_LINES.items()]
+    lines.append(f"blocks: {len(record.crp_map)}")
     for i, block in enumerate(record.crp_map.blocks):
         offs = ",".join(str(o) for o in block.offsets)
         lines.append(f"block {i}: start={block.start_address} offsets={offs}")
     for i, ref in enumerate(record.references):
-        raw = ref.to_bytes(record.crp_map.block_bytes, "little")
+        raw = ref.to_bytes(BLOCK_BYTES, "little")
         lines.append(f"ref {i}: {base64.b64encode(raw).decode()}")
     return "\n".join(lines) + "\n"
 
 
 def record_from_text(text: str) -> EnrollmentRecord:
+    """Parse record_to_text's format; a record enrolled under another recipe
+    (a missing or different recipe line) is a ValueError."""
     fields: dict[str, str] = {}
     blocks: dict[int, CrpBlock] = {}
     refs: dict[int, int] = {}
@@ -302,17 +288,12 @@ def record_from_text(text: str) -> EnrollmentRecord:
             refs[idx] = int.from_bytes(base64.b64decode(value), "little")
         else:
             fields[key] = value
+    for key, want in RECIPE_LINES.items():
+        if fields.get(key) != want:
+            raise ValueError(f"record {key} is {fields.get(key)!r}, recipe has {want!r}")
     n = int(fields["blocks"])
-    crp_map = CrpBlockMap(
-        blocks=tuple(blocks[i] for i in range(n)),
-        block_bytes=int(fields["block_bytes"]),
-    )
     return EnrollmentRecord(
         device_id=fields["device_id"],
-        crp_map=crp_map,
+        crp_map=CrpBlockMap(blocks=tuple(blocks[i] for i in range(n))),
         references=tuple(refs[i] for i in range(n)),
-        corner_temps=tuple(float(t) for t in fields["corner_temps"].split(",")),
-        nominal_temp=float(fields["nominal_temp"]),
-        corner_readouts=int(fields["corner_readouts"]),
-        nominal_readouts=int(fields["nominal_readouts"]),
     )

@@ -280,18 +280,6 @@ def decode(frame: Gen2Frame) -> CommandView:
     return BlockWrite(membank=f.membank, wordptr=f.wordptr, words=f.words)
 
 
-def reader_split(cmd: BlockWrite) -> list[BlockWrite]:
-    """Emulate readers that only pass single-word BlockWrites."""
-    if not isinstance(cmd, BlockWrite):
-        raise TypeError("only plain BlockWrite commands are split")
-    if len(cmd.words) < 1:
-        raise ValueError("nothing to split")
-    return [
-        BlockWrite(membank=cmd.membank, wordptr=cmd.wordptr + i, words=(w,))
-        for i, w in enumerate(cmd.words)
-    ]
-
-
 def frame_from_hex(text: str, nbits: int | None = None) -> Gen2Frame:
     """Rebuild a frame from whitespace-separated hex bytes.
 

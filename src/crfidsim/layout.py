@@ -3,8 +3,8 @@
 The 2 KB SRAM splits into a TRNG region at the base, the PUF-eligible
 region above it, then statics, with the stack at the top. The reserved
 regions leave 8,896 bits eligible for enrollment. The 63 KB NVM holds the
-immutable bootloader, the application area, and the staging (download)
-area that firmware chunks are written into before verification.
+immutable 4 KB bootloader, the 8 KB application area, and the 8 KB staging
+(download) area that firmware chunks are written into before verification.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ class MemoryLayout:
     trng_words: int = 64          # 16-bit words at the SRAM base
     static_bytes: int = 552
     stack_bytes: int = 256
-    nvm_bytes: int = 63 * 1024
-    bootloader_bytes: int = 4096
     app_bytes: int = 8192
     download_bytes: int = 8192
 
@@ -47,8 +45,6 @@ class MemoryLayout:
     def __post_init__(self) -> None:
         if self.eligible_bytes <= 0:
             raise ValueError("reserved regions exceed SRAM size")
-        if self.bootloader_bytes + self.app_bytes + self.download_bytes > self.nvm_bytes:
-            raise ValueError("NVM regions exceed NVM size")
 
 
 DEFAULT_LAYOUT = MemoryLayout()

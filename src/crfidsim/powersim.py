@@ -62,7 +62,13 @@ def _harvest_rate(kappa: float, distance_cm: float) -> float:
         raise ValueError("distance must be positive")
     if not kappa >= 0:
         raise ValueError("kappa must be non-negative")
-    return kappa / distance_cm**2
+    try:
+        square = distance_cm**2
+    except OverflowError:           # no harvest at all
+        return 0.0
+    if square == 0.0:               # underflow: harvest without bound
+        return math.inf if kappa > 0 else 0.0
+    return kappa / square
 
 
 def draw_kappa(seed: int, trial: int) -> float:
@@ -345,11 +351,16 @@ def success_prob(distance_cm: float, sleep_ms: float) -> float:
     """Closed-form cold-start success: P(kappa/d^2 >= a*) for log-normal kappa.
 
     1 - Phi(ln(a* d^2 / KAPPA_MEDIAN) / KAPPA_SIGMA), the limit of
-    success_rate as trials grow.
+    success_rate as trials grow: 1 where a* d^2 / KAPPA_MEDIAN underflows
+    to 0, and 0 where d^2 overflows.
     """
     _harvest_rate(0.0, distance_cm)   # reject a bad distance
     a_star = critical_rate(sleep_ms)
-    z = math.log(a_star * distance_cm**2 / KAPPA_MEDIAN) / KAPPA_SIGMA
+    try:
+        ratio = a_star * distance_cm**2 / KAPPA_MEDIAN
+    except OverflowError:
+        return 0.0
+    z = math.log(ratio) / KAPPA_SIGMA if ratio else -math.inf
     return 0.5 * math.erfc(z / math.sqrt(2))
 
 

@@ -160,9 +160,6 @@ class ProverDb:
         except KeyError:
             raise UnknownTokenError(f"token {token_id} not enrolled") from None
 
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 # -------------------------------------------------------------- token state
 
@@ -197,8 +194,6 @@ class UpdateSetup:
 class TokenNvm:
     crp_map: enroll.CrpBlockMap
     firmware_update_flag: bool = False
-    bootloader_version: str = "1.0"
-    bootloader: bytes = b"immutable-bootloader"
     app_area: bytearray = field(
         default_factory=lambda: bytearray(DEFAULT_LAYOUT.app_bytes)
     )
@@ -212,7 +207,6 @@ class TokenState:
     mode: TokenMode
     nvm: TokenNvm
     temperature: float
-    otf: bool = False
     nonce: bytes | None = None
     challenge: int | None = None
     sk: fuzzy.SessionKey | None = None
@@ -249,9 +243,7 @@ def token_boot(
 ) -> TokenState:
     """Power-on flow: temperature gate, fresh nonce/challenge, key derivation."""
     if not TEMP_LEGAL_MIN <= temperature <= TEMP_LEGAL_MAX:
-        return TokenState(
-            mode=TokenMode.HALTED, nvm=nvm, temperature=temperature, otf=True
-        )
+        return TokenState(mode=TokenMode.HALTED, nvm=nvm, temperature=temperature)
     nonce = puf.trng_next(device, 128, trial_seed=4 * boot_seed,
                           temperature=temperature)
     c_bits = puf.trng_next(device, 8, trial_seed=4 * boot_seed + 1,
@@ -504,7 +496,6 @@ def _run_attempt(
     image: FirmwareImage,
     channel: Channel,
     rng: random.Random,
-    use_reader_split: bool,
 ) -> UpdateOutcome:
     def rn() -> int:
         return rng.randrange(1 << 16)
@@ -554,11 +545,9 @@ def _run_attempt(
             wordptr=START_WORD + i,
             words=tuple(words[i : i + CHUNK_WORDS]),
         )
-        parts = gen2.reader_split(chunk) if use_reader_split else [chunk]
-        for part in parts:
-            reply = channel.send(gen2.encode(part, rn()))
-            if not isinstance(reply, Ack):
-                return fail_kind()
+        reply = channel.send(gen2.encode(chunk, rn()))
+        if not isinstance(reply, Ack):
+            return fail_kind()
 
     key = sk.as_bytes()
     tag = mac.mac_firmware(assembled, auth.nonce, key)
@@ -578,7 +567,6 @@ def prover_update(
     token_id: str,
     image: FirmwareImage,
     channel: Channel,
-    use_reader_split: bool = False,
     rng_seed: int = 0,
 ) -> UpdateOutcome:
     """Drive a full update; fresh sessions retry transient key failures."""
@@ -588,7 +576,7 @@ def prover_update(
     for attempt in range(MAX_ATTEMPTS):
         if attempt:
             channel.reset_token()
-        outcome = _run_attempt(record, image, channel, rng, use_reader_split)
+        outcome = _run_attempt(record, image, channel, rng)
         if outcome not in (
             UpdateOutcome.KEY_RECOVERY_FAILURE,
             UpdateOutcome.BROWNOUT_ABORTED,

@@ -35,6 +35,7 @@ DEFAULT_TEMP_ANCHORS: tuple[tuple[float, float], ...] = (
 )
 
 TRNG_FOLD = 16
+TRNG_CELLS = DEFAULT_LAYOUT.trng_cells
 
 # Readouts this close in temperature belong to the same setting
 TEMP_TOL = 0.01
@@ -56,7 +57,6 @@ class PufDevice:
     num_cells: int
     cell_one_prob: np.ndarray
     rng_seed: int
-    trng_region_cells: int = DEFAULT_LAYOUT.trng_cells
 
     def __post_init__(self) -> None:
         if self.num_cells <= 0:
@@ -92,13 +92,6 @@ class DumpSet:
     def at_temperature(self, temperature: float) -> list[Readout]:
         return [r for r in self.readouts if abs(r.temperature - temperature) <= TEMP_TOL]
 
-    def temperatures(self) -> list[float]:
-        seen: list[float] = []
-        for r in self.readouts:
-            if not any(abs(r.temperature - t) <= TEMP_TOL for t in seen):
-                seen.append(r.temperature)
-        return seen
-
 
 def synth_device(
     num_cells: int = 16384,
@@ -106,7 +99,6 @@ def synth_device(
     noisy_epsilon: float = 0.001,
     bias: float = 0.5,
     seed: int = 0,
-    trng_region_cells: int = DEFAULT_LAYOUT.trng_cells,
 ) -> PufDevice:
     """Synthesize a device.
 
@@ -123,7 +115,7 @@ def synth_device(
     prob = np.empty(num_cells, dtype=np.float64)
 
     n_uniform = int(round((1.0 - stable_frac) * num_cells))
-    region = min(trng_region_cells, num_cells)
+    region = min(TRNG_CELLS, num_cells)
     in_region = min(n_uniform, region)
     uniform_idx = np.arange(in_region)
     left_over = n_uniform - in_region
@@ -137,12 +129,7 @@ def synth_device(
     leans_one = rng.random(n_stable) < bias
     prob[stable_mask] = np.where(leans_one, 1.0 - noisy_epsilon, noisy_epsilon)
     prob[uniform_idx] = rng.random(len(uniform_idx))
-    return PufDevice(
-        num_cells=num_cells,
-        cell_one_prob=prob,
-        rng_seed=seed,
-        trng_region_cells=trng_region_cells,
-    )
+    return PufDevice(num_cells=num_cells, cell_one_prob=prob, rng_seed=seed)
 
 
 def temp_scale(temperature: float) -> float:
@@ -258,6 +245,16 @@ def _trng_cycle(
     return folded.astype(np.uint8)
 
 
+def _trng_probs(device: PufDevice, temperature: float) -> np.ndarray:
+    """One-probabilities of the TRNG region, the first TRNG_CELLS cells."""
+    region = min(TRNG_CELLS, device.num_cells)
+    if region < TRNG_FOLD:
+        raise InsufficientEntropyError(
+            f"TRNG region of {region} cells cannot feed a {TRNG_FOLD}-bit fold"
+        )
+    return _temperature_probs(device, temperature, 0, region)
+
+
 def trng_next(
     device: PufDevice, nbits: int, trial_seed: int, temperature: float = 25.0
 ) -> np.ndarray:
@@ -268,12 +265,7 @@ def trng_next(
     """
     if not 0 < nbits <= 128:
         raise ValueError("nbits must be in 1..128")
-    region = device.trng_region_cells
-    if region < TRNG_FOLD:
-        raise InsufficientEntropyError(
-            f"TRNG region of {region} cells cannot feed a {TRNG_FOLD}-bit fold"
-        )
-    probs = _temperature_probs(device, temperature, 0, region)
+    probs = _trng_probs(device, temperature)
     out = np.empty(0, dtype=np.uint8)
     cycle = 0
     while out.size < nbits:
@@ -295,7 +287,7 @@ def trng_health(device: PufDevice, cycles: int = 200, trial_seed: int = 0) -> Tr
     Degenerate means some output position is constant across all sampled
     cycles (e.g. a noiseless device).
     """
-    probs = _temperature_probs(device, 25.0, 0, device.trng_region_cells)
+    probs = _trng_probs(device, 25.0)
     acc = np.zeros(probs.size // TRNG_FOLD, dtype=np.int64)
     for c in range(cycles):
         acc += _trng_cycle(device, probs, 25.0, (trial_seed + 1) * 131072 + c)

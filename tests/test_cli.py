@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, and output formats."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -362,3 +363,64 @@ def test_exit_code_map_is_total():
 
     assert set(cli.OUTCOME_EXIT) == set(UpdateOutcome)
     assert sorted(cli.OUTCOME_EXIT.values()) == [0, 10, 11, 12, 13]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestPinnedOutputs:
+    """Byte-exact CLI outputs: exit code, stdout and every --out file.
+
+    Each entry holds the first 16 hex digits of a sha256. The --out
+    directory's path is replaced by '<out>' in stdout before hashing.
+    """
+
+    PINNED = [
+        (("enroll", "--devices", "3"), 0, "1fb5a4f42478b5d9",
+         {"dev-0000.record.txt": "e1b34dc378675f64",
+          "dev-0001.record.txt": "4719a1a2dafc00e7",
+          "dev-0002.record.txt": "f767247ef037f394",
+          "enroll.tsv": "27e8059a198bacaa"}),
+        (("update", "--trials", "3"), 0, "d2f46b66175b16a3",
+         {"transcript-0.txt": "225eabecfb9c06e2",
+          "transcript-1.txt": "c121f033f680a33f",
+          "transcript-2.txt": "8888dd7300fedd43",
+          "update.tsv": "58b67be70c50c073"}),
+        (("update", "--tamper", "mac"), 10, "47738816b74ab2c2",
+         {"transcript-0.txt": "6678097a434986ea",
+          "update.tsv": "9c4ef35584224bcf"}),
+        (("update", "--tamper", "chunk:1", "--seed", "5"), 10, "47738816b74ab2c2",
+         {"transcript-0.txt": "a72e7da1680c2a9b",
+          "update.tsv": "9c4ef35584224bcf"}),
+        (("update", "--tamper", "drop:4", "--seed", "6"), 13, "ca458686d11ccc8d",
+         {"transcript-0.txt": "8408f6fe8199add6",
+          "update.tsv": "0b4ff02e919e47b6"}),
+        (("update", "--image", "boot-shim", "--distance-cm", "40", "--sleep-ms", "10",
+          "--trials", "6"), 0, "4fbc177b4ffbb924",
+         {"transcript-0.txt": "21da1e87e93a2759",
+          "transcript-1.txt": "0eed75a13dfcdb01",
+          "transcript-2.txt": "dc0accf0795c7c6b",
+          "transcript-3.txt": "81ad5fe6bb57ccd0",
+          "transcript-4.txt": "ac4df8231b8b005c",
+          "transcript-5.txt": "4b8faaf6901e8dda",
+          "update.tsv": "b322be0d0d9f90e0"}),
+        (("update", "--distance-cm", "60", "--trials", "4", "--seed", "3"), 12,
+         "0362f8f08621027d",
+         {"transcript-0.txt": "67f97a5a07e7c673",
+          "transcript-1.txt": "01ba4719c80b6fe9",
+          "transcript-2.txt": "01ba4719c80b6fe9",
+          "transcript-3.txt": "01ba4719c80b6fe9",
+          "update.tsv": "3f6aaa471610e513"}),
+        (("analyze",), 0, "d2d3fce242f0ccba", {"analyze.tsv": "e4a745b08f7126a8"}),
+        (("attack",), 0, "554c77b83e189f2c", {"attack.tsv": "92ce30259e5094ef"}),
+    ]
+
+    @pytest.mark.parametrize("argv,exit_code,stdout,files", PINNED,
+                             ids=[" ".join(p[0]) for p in PINNED])
+    def test_outputs_unchanged(self, capsys, tmp_path, argv, exit_code, stdout, files):
+        code, cap = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == exit_code
+        assert _digest(cap.out.replace(str(tmp_path), "<out>").encode()) == stdout
+        written = {p.name: _digest(p.read_bytes()) for p in tmp_path.iterdir()}
+        assert written == files

@@ -277,8 +277,22 @@ class TestRecordSerialization:
         assert back.device_id == record.device_id
         assert back.crp_map == record.crp_map
         assert back.references == record.references
-        assert back.corner_temps == record.corner_temps
-        assert back.corner_readouts == record.corner_readouts
+        assert back == record
+        assert enroll.record_to_text(back) == text
+
+    @pytest.mark.parametrize("key", ["block_bytes", "corner_readouts", "corner_temps",
+                                     "nominal_temp", "nominal_readouts"])
+    @pytest.mark.parametrize("change", ["differs", "missing"])
+    def test_other_recipe_rejected(self, key, change):
+        record = enroll.enroll_device(puf.synth_device(seed=3), device_id="tok-3")
+        lines = enroll.record_to_text(record).split("\n")
+        i = next(j for j, line in enumerate(lines) if line.startswith(f"{key}: "))
+        if change == "missing":
+            del lines[i]
+        else:
+            lines[i] += "1"
+        with pytest.raises(ValueError, match=key):
+            enroll.record_from_text("\n".join(lines))
 
     def test_text_is_line_oriented(self):
         dev = puf.synth_device(seed=3)

@@ -302,27 +302,6 @@ class TestFormatErrors:
             gen2.encode(gen2.TagPrivilege(), 1 << 16)
 
 
-class TestReaderSplit:
-    def test_single_word_identity(self):
-        cmd = gen2.BlockWrite(membank=3, wordptr=9, words=(77,))
-        assert gen2.reader_split(cmd) == [cmd]
-
-    def test_four_words_consecutive_ptrs(self):
-        cmd = gen2.BlockWrite(membank=3, wordptr=10, words=(1, 2, 3, 4))
-        parts = gen2.reader_split(cmd)
-        assert [p.wordptr for p in parts] == [10, 11, 12, 13]
-        assert all(len(p.words) == 1 for p in parts)
-
-    def test_reassembly_matches_original(self):
-        words = tuple(secrets.randbelow(1 << 16) for _ in range(6))
-        cmd = gen2.BlockWrite(membank=3, wordptr=100, words=words)
-        parts = gen2.reader_split(cmd)
-        rebuilt = [0] * len(words)
-        for p in parts:
-            rebuilt[p.wordptr - 100] = p.words[0]
-        assert tuple(rebuilt) == words
-
-
 class TestHexDump:
     def test_format(self):
         f = gen2.encode(gen2.Authenticate(csi=1), 0xABCD)

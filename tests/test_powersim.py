@@ -353,6 +353,24 @@ class TestInputValidation:
         assert ps.success_rate(math.inf, 0, 5, 1) == 0.0
         assert ps.success_prob(math.inf, 0) == 0.0
 
+    # d^2 underflows (1e-200, and 1e-161 once scaled by a*) or overflows
+    # (1e200); 1e-160 has a subnormal square whose rate overflows to inf
+    @pytest.mark.parametrize("distance,succeeds", [
+        (1e-200, True), (1e-161, True), (1e-160, True), (1e200, False),
+    ])
+    @pytest.mark.parametrize("sleep_ms", ps.SLEEP_CHOICES)
+    def test_extreme_distances_reach_the_limits(self, distance, succeeds, sleep_ms):
+        res = ps.cold_start_session(distance, sleep_ms, 1)
+        assert res.success is succeeds
+        assert ps.success_rate(distance, sleep_ms, 5, 1) == float(succeeds)
+        assert ps.success_prob(distance, sleep_ms) == float(succeeds)
+        zero_rate = (ps.V_BOOT - ps.V_MIN) / ps.DRAIN_PER_CYCLE
+        want = math.inf if succeeds else zero_rate
+        assert ps.single_charge_budget(distance, ps.draw_kappa(1, 0)) == want
+
+    def test_underflowing_square_with_zero_kappa_is_zero_rate(self):
+        assert ps.EnergyState(0.0, 1e-200, 0.0).rate == 0.0
+
 
 class TestCriticalRate:
     """success_rate decides trials against critical_rate; it must agree with

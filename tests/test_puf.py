@@ -66,7 +66,7 @@ def test_readout_temperature_range():
 )
 @settings(max_examples=60, deadline=None)
 def test_readout_cells_equals_readout_window(device_seed, temperature, trial_seed, data):
-    dev = puf.synth_device(seed=device_seed, num_cells=2048, trng_region_cells=256)
+    dev = puf.synth_device(seed=device_seed, num_cells=2048)
     lo = data.draw(st.integers(0, dev.num_cells - 1), label="lo")
     hi = data.draw(st.integers(lo + 1, dev.num_cells), label="hi")
     full = puf.readout(dev, temperature, trial_seed).bits
@@ -85,7 +85,7 @@ def test_readout_cells_full_size_device_window():
 @pytest.mark.parametrize("lo,hi", [(5, 5), (0, 0), (9, 3), (-1, 10), (-8, -2),
                                    (0, 513), (512, 513), (600, 700)])
 def test_readout_cells_rejects_bad_range(lo, hi):
-    dev = puf.synth_device(seed=13, num_cells=512, trng_region_cells=64)
+    dev = puf.synth_device(seed=13, num_cells=512)
     with pytest.raises(ValueError):
         puf.readout_cells(dev, 25.0, 0, lo, hi)
 
@@ -130,8 +130,7 @@ def test_ber_validation():
 
 def test_ber_matches_injected_noise_level():
     # flat device: every cell flips with probability 0.01 at nominal temp
-    dev = puf.synth_device(stable_frac=1.0, noisy_epsilon=0.01, seed=9,
-                           trng_region_cells=0)
+    dev = puf.synth_device(stable_frac=1.0, noisy_epsilon=0.01, seed=9)
     ref = np.where(dev.cell_one_prob > 0.5, 1, 0).astype(np.uint8)
     trials = [puf.readout(dev, 25.0, trial_seed=i).bits for i in range(10)]
     measured = puf.ber(ref, trials)
@@ -171,9 +170,28 @@ def test_trng_nbits_bounds():
 
 
 def test_trng_insufficient_region():
-    dev = puf.synth_device(seed=22, trng_region_cells=8)
+    dev = puf.synth_device(seed=22, num_cells=8)
     with pytest.raises(puf.InsufficientEntropyError):
         puf.trng_next(dev, 8, trial_seed=0)
+    with pytest.raises(puf.InsufficientEntropyError):
+        puf.trng_health(dev, cycles=2)
+
+
+def test_trng_insufficient_region_from_dump():
+    dump = puf.collect_dump(puf.synth_device(seed=22, num_cells=15), device_id=1,
+                            temperatures=[25.0], readouts_per_temp=3)
+    dev = puf.device_from_dump(dump)
+    with pytest.raises(puf.InsufficientEntropyError):
+        puf.trng_next(dev, 8, trial_seed=0)
+    with pytest.raises(puf.InsufficientEntropyError):
+        puf.trng_health(dev, cycles=2)
+
+
+def test_trng_small_device_folds_its_whole_array():
+    dev = puf.synth_device(seed=22, num_cells=64)
+    assert puf.TRNG_CELLS == DEFAULT_LAYOUT.trng_cells
+    assert puf.trng_next(dev, 10, trial_seed=0).shape == (10,)   # 3 cycles of 4
+    assert puf.trng_health(dev, cycles=4).position_freq.shape == (64 // puf.TRNG_FOLD,)
 
 
 def test_trng_monobit_within_3_sigma():
@@ -199,7 +217,7 @@ def test_trng_degenerate_device_flagged_not_crashing():
 
 
 def test_dump_roundtrip_bit_identical(tmp_path):
-    dev = puf.synth_device(seed=30, num_cells=512, trng_region_cells=64)
+    dev = puf.synth_device(seed=30, num_cells=512)
     dump = puf.collect_dump(dev, device_id=7, temperatures=[0.0, 25.0, 40.0],
                             readouts_per_temp=3)
     path = tmp_path / "dev7.spuf"
@@ -220,7 +238,7 @@ def test_dump_rejects_garbage(tmp_path):
 
 
 def test_dump_rejects_trailing_bytes(tmp_path):
-    dev = puf.synth_device(seed=31, num_cells=64, trng_region_cells=16)
+    dev = puf.synth_device(seed=31, num_cells=64)
     dump = puf.collect_dump(dev, device_id=1, temperatures=[25.0], readouts_per_temp=1)
     path = tmp_path / "t.spuf"
     puf.write_dump(str(path), dump)
@@ -230,7 +248,7 @@ def test_dump_rejects_trailing_bytes(tmp_path):
 
 
 def test_dump_truncated_at_every_offset_rejected(tmp_path):
-    dev = puf.synth_device(seed=32, num_cells=60, trng_region_cells=16)
+    dev = puf.synth_device(seed=32, num_cells=60)
     dump = puf.collect_dump(dev, device_id=4, temperatures=[0.0, 25.0],
                             readouts_per_temp=1)
     path = tmp_path / "full.spuf"
@@ -246,7 +264,7 @@ def test_dump_truncated_at_every_offset_rejected(tmp_path):
 
 def test_device_from_dump_reproduces_stable_cells():
     dev = puf.synth_device(seed=33, num_cells=512, stable_frac=1.0,
-                           noisy_epsilon=0.0, trng_region_cells=64)
+                           noisy_epsilon=0.0)
     dump = puf.collect_dump(dev, device_id=2, temperatures=[25.0],
                             readouts_per_temp=100)
     fitted = puf.device_from_dump(dump, seed=1)
@@ -257,9 +275,8 @@ def test_device_from_dump_reproduces_stable_cells():
 
 
 def test_dumpset_grouping():
-    dev = puf.synth_device(seed=34, num_cells=128, trng_region_cells=32)
+    dev = puf.synth_device(seed=34, num_cells=128)
     dump = puf.collect_dump(dev, device_id=3, temperatures=[0.0, 40.0],
                             readouts_per_temp=2)
     assert len(dump.at_temperature(0.0)) == 2
     assert len(dump.at_temperature(40.0)) == 2
-    assert sorted(dump.temperatures()) == [0.0, 40.0]
