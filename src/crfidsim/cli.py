@@ -266,11 +266,11 @@ def cmd_update(args: argparse.Namespace) -> int:
         )
         committed += outcome is UpdateOutcome.COMMITTED
         shown = "-" if latency is None else f"{latency:.3f}"
-        lines.append(f"{trial}\t{outcome.name}\t{len(channel.transcript)}\t{shown}")
+        lines.append(f"{trial}\t{outcome.name}\t{len(channel.frames)}\t{shown}")
         exit_code = OUTCOME_EXIT[outcome]
         if dest is not None:
             write_out(dest / f"transcript-{trial}.txt",
-                      "\n".join(channel.transcript) + "\n")
+                      "\n".join(f.to_hex() for f in channel.frames) + "\n")
     lines.append(f"# committed\t{committed}/{args.trials}")
     emit(lines, dest, "update.tsv")
     return exit_code
@@ -289,9 +289,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     base = 9_000_000 + args.seed * 10_000
 
     lines = ["# ber_vs_temperature", "temperature_c\traw_ber\tpipeline_ber"]
-    layout = enroll.DEFAULT_LAYOUT
-    lo = 8 * layout.eligible_start
-    hi = lo + layout.eligible_bits
+    lo, hi = enroll.ELIGIBLE_CELLS
 
     def eligible(temp: float, trial_seed: int):
         return puf.readout_cells(device, temp, trial_seed, lo, hi)
@@ -311,9 +309,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     raw_bias = puf.bias(raw_reads)
     ones = 0
     for j in range(args.trials):
-        r = puf.readout(device, enroll.NOMINAL_TEMP, trial_seed=base + 1300 + j)
+        cells = eligible(enroll.NOMINAL_TEMP, base + 1300 + j)
         for c in range(len(record.crp_map)):
-            ones += enroll.challenge_to_response(record.crp_map, c, r.bits).bit_count()
+            ones += enroll.challenge_to_response(record.crp_map, c, cells,
+                                                 first_cell=lo).bit_count()
     pipe_bias = ones / (args.trials * len(record.crp_map) * enroll.BLOCK_BITS)
     lines.append(f"raw\t{raw_bias:.5f}")
     lines.append(f"pipeline\t{pipe_bias:.5f}")

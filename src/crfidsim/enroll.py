@@ -27,16 +27,16 @@ BLOCK_BITS = 8 * BLOCK_BYTES
 DEFAULT_CORNER_TEMPS = (0.0, 40.0)
 NOMINAL_TEMP = 25.0
 
-# Enrollment recipe: readouts taken per temperature, readouts screening
-# requires, and the trial seeds of the characterization run
+# Enrollment recipe: readouts taken per temperature and the trial seeds of
+# the characterization run
 CORNER_READOUTS = 5
 NOMINAL_READOUTS = 11
-MIN_CORNER_READOUTS = 2
-MIN_NOMINAL_READOUTS = 10
 TRIAL_SEED_BASE = 10_000
 
 ELIGIBLE_START = DEFAULT_LAYOUT.eligible_start
 ELIGIBLE_BYTES = DEFAULT_LAYOUT.eligible_bytes
+# Cells of the eligible region, the only cells enrollment samples
+ELIGIBLE_CELLS = (8 * ELIGIBLE_START, 8 * (ELIGIBLE_START + ELIGIBLE_BYTES))
 
 
 class EmptyRegionError(ValueError):
@@ -93,44 +93,16 @@ class EnrollmentRecord:
         return self.references[c % len(self.crp_map)]
 
 
-def _byte_matrix(readouts: Sequence[puf.Readout]) -> np.ndarray:
-    """Stack readouts restricted to the eligible region: (reads, bytes, 8)."""
-    rows = []
-    for r in readouts:
-        bits = r.bits[8 * ELIGIBLE_START : 8 * (ELIGIBLE_START + ELIGIBLE_BYTES)]
-        if bits.size != 8 * ELIGIBLE_BYTES:
-            raise InsufficientMaterialError("readout does not cover the eligible region")
-        rows.append(bits.reshape(ELIGIBLE_BYTES, 8))
-    return np.stack(rows)
-
-
-def pre_select(
-    corner_readouts: puf.DumpSet, nominal_readouts: puf.DumpSet
-) -> StableByteMask:
+def pre_select(corner: np.ndarray, nominal: np.ndarray) -> StableByteMask:
     """Keep bytes that are bit-stable at every corner; majority-vote values.
 
-    A per-bit tie in the nominal vote discards the whole byte.
+    Both arguments hold eligible-region readouts of shape (reads,
+    ELIGIBLE_BYTES, 8). A per-bit tie in the nominal vote discards the
+    whole byte.
     """
-    corner_sets = []
-    for t in DEFAULT_CORNER_TEMPS:
-        group = corner_readouts.at_temperature(t)
-        if len(group) < MIN_CORNER_READOUTS:
-            raise ValueError(
-                f"need at least {MIN_CORNER_READOUTS} readouts at {t} C, "
-                f"got {len(group)}"
-            )
-        corner_sets.extend(group)
-    nominal = nominal_readouts.at_temperature(NOMINAL_TEMP)
-    if len(nominal) < MIN_NOMINAL_READOUTS:
-        raise ValueError(
-            f"need at least {MIN_NOMINAL_READOUTS} nominal readouts, got {len(nominal)}"
-        )
-
-    corner = _byte_matrix(corner_sets)
     stable = (corner == corner[0]).all(axis=(0, 2))
 
-    nom = _byte_matrix(nominal)
-    ones = nom.sum(axis=0, dtype=np.int64)
+    ones = nominal.sum(axis=0, dtype=np.int64)
     majority = (2 * ones > len(nominal)).astype(np.uint8)
     tie = (2 * ones == len(nominal)).any(axis=1)
 
@@ -206,12 +178,24 @@ def build_record(device_id: str, mask: StableByteMask, crp_map: CrpBlockMap) -> 
     return EnrollmentRecord(device_id=device_id, crp_map=crp_map, references=tuple(references))
 
 
+def _eligible_reads(
+    device: puf.PufDevice, temperatures: Sequence[float], per_temp: int, trial_seed_base: int
+) -> np.ndarray:
+    """Eligible-region readouts, per_temp at each temperature in turn and
+    trial seeds counting up from trial_seed_base: (reads, bytes, 8)."""
+    temps = [t for t in temperatures for _ in range(per_temp)]
+    rows = [puf.readout_cells(device, t, trial_seed_base + i, *ELIGIBLE_CELLS)
+            for i, t in enumerate(temps)]
+    return np.stack(rows).reshape(len(rows), ELIGIBLE_BYTES, 8)
+
+
 def enroll_device(device: puf.PufDevice, device_id: str) -> EnrollmentRecord:
     """Full pipeline against a live device model."""
-    corners = puf.collect_dump(device, 0, DEFAULT_CORNER_TEMPS, CORNER_READOUTS,
-                               trial_seed_base=TRIAL_SEED_BASE)
-    nominal = puf.collect_dump(device, 0, [NOMINAL_TEMP], NOMINAL_READOUTS,
-                               trial_seed_base=TRIAL_SEED_BASE + 1000)
+    if device.num_cells < ELIGIBLE_CELLS[1]:
+        raise InsufficientMaterialError("readout does not cover the eligible region")
+    corners = _eligible_reads(device, DEFAULT_CORNER_TEMPS, CORNER_READOUTS, TRIAL_SEED_BASE)
+    nominal = _eligible_reads(device, [NOMINAL_TEMP], NOMINAL_READOUTS,
+                              TRIAL_SEED_BASE + 1000)
     winnowed = debias(pre_select(corners, nominal))
     crp_map = build_map(winnowed)
     return build_record(device_id, winnowed, crp_map)
@@ -230,10 +214,11 @@ def measure_pipeline_ber(
     trial = trial_seed_base
     for t in temperatures:
         for _ in range(trials_per_temp):
-            r = puf.readout(device, t, trial)
+            cells = puf.readout_cells(device, t, trial, *ELIGIBLE_CELLS)
             trial += 1
             for c in range(len(record.crp_map)):
-                got = challenge_to_response(record.crp_map, c, r.bits)
+                got = challenge_to_response(record.crp_map, c, cells,
+                                            first_cell=ELIGIBLE_CELLS[0])
                 errors += (got ^ record.references[c]).bit_count()
                 bits += BLOCK_BITS
     return errors / bits
@@ -266,34 +251,28 @@ def record_to_text(record: EnrollmentRecord) -> str:
 
 def record_from_text(text: str) -> EnrollmentRecord:
     """Parse record_to_text's format; a record enrolled under another recipe
-    (a missing or different recipe line) is a ValueError."""
+    (a missing or different recipe line) or lacking any line is a ValueError."""
     fields: dict[str, str] = {}
-    blocks: dict[int, CrpBlock] = {}
-    refs: dict[int, int] = {}
     for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
         key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if key.startswith("block "):
-            idx = int(key.split()[1])
-            parts = dict(p.split("=", 1) for p in value.split())
-            blocks[idx] = CrpBlock(
-                start_address=int(parts["start"]),
-                offsets=tuple(int(o) for o in parts["offsets"].split(",")),
-            )
-        elif key.startswith("ref "):
-            idx = int(key.split()[1])
-            refs[idx] = int.from_bytes(base64.b64decode(value), "little")
-        else:
-            fields[key] = value
+        if key.strip():
+            fields[key.strip()] = value.strip()
+
+    def need(key: str) -> str:
+        if key not in fields:
+            raise ValueError(f"record lacks its {key}: line")
+        return fields[key]
+
     for key, want in RECIPE_LINES.items():
         if fields.get(key) != want:
             raise ValueError(f"record {key} is {fields.get(key)!r}, recipe has {want!r}")
-    n = int(fields["blocks"])
-    return EnrollmentRecord(
-        device_id=fields["device_id"],
-        crp_map=CrpBlockMap(blocks=tuple(blocks[i] for i in range(n))),
-        references=tuple(refs[i] for i in range(n)),
-    )
+    blocks, refs = [], []
+    for i in range(int(need("blocks"))):
+        parts = dict(p.split("=", 1) for p in need(f"block {i}").split())
+        if parts.keys() != {"start", "offsets"}:
+            raise ValueError(f"record block {i} needs start= and offsets=")
+        offsets = tuple(int(o) for o in parts["offsets"].split(","))
+        blocks.append(CrpBlock(start_address=int(parts["start"]), offsets=offsets))
+        refs.append(int.from_bytes(base64.b64decode(need(f"ref {i}")), "little"))
+    return EnrollmentRecord(device_id=need("device_id"), crp_map=CrpBlockMap(tuple(blocks)),
+                            references=tuple(refs))

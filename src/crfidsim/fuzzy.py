@@ -260,23 +260,26 @@ class McResult:
         return self.failures / self.sessions
 
 
-def mc_key_failure(
-    ber: float, cfg: FeConfig, sessions: int, seed: int, batch_size: int = 100_000
-) -> McResult:
-    """Empirical key-failure rate over simulated fe_gen/fe_rec sessions.
+# Sessions the Monte-Carlo draws and decodes per numpy batch
+MC_BATCH_SESSIONS = 100_000
+
+
+def mc_key_failure(ber: float, cfg: FeConfig, sessions: int, seed: int) -> McResult:
+    """Empirical key-failure rate over simulated fe_gen/fe_rec sessions,
+    drawn MC_BATCH_SESSIONS at a time.
 
     Raises ValueError for a ber outside [0, 1] (NaN included) and for fewer
-    than one session or a batch of fewer than one session.
+    than one session.
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError("ber must be in [0, 1]")
-    if sessions < 1 or batch_size < 1:
-        raise ValueError("sessions and batch_size must be at least 1")
+    if sessions < 1:
+        raise ValueError("sessions must be at least 1")
     rng = np.random.default_rng(seed)
     failures = 0
     remaining = sessions
     while remaining > 0:
-        b = min(batch_size, remaining)
+        b = min(MC_BATCH_SESSIONS, remaining)
         e = error_masks(rng, (b, cfg.blocks), cfg.code.n, ber)
         failures += int(run_sessions(e, cfg).sum())
         remaining -= b

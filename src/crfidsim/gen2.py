@@ -279,25 +279,3 @@ def decode(frame: Gen2Frame) -> CommandView:
         raise FrameFormatError("empty write")
     return BlockWrite(membank=f.membank, wordptr=f.wordptr, words=f.words)
 
-
-def frame_from_hex(text: str, nbits: int | None = None) -> Gen2Frame:
-    """Rebuild a frame from whitespace-separated hex bytes.
-
-    Without an explicit bit length the longest suffix-padded length whose
-    residue verifies is chosen.
-    """
-    data = bytes.fromhex("".join(text.split()))
-    total = 8 * len(data)
-    packed = int.from_bytes(data, "big")
-    if nbits is not None:
-        if not 0 < nbits <= total:
-            raise ValueError("bit length out of range")
-        return Gen2Frame(bits=BitString(packed >> (total - nbits), nbits))
-    for length in range(total, max(total - 8, 0), -1):
-        pad = total - length
-        if packed & ((1 << pad) - 1):
-            continue
-        candidate = BitString(packed >> pad, length)
-        if residue_ok(candidate):
-            return Gen2Frame(bits=candidate)
-    raise BadCrcError("no bit length yields a valid residue")

@@ -426,9 +426,14 @@ class TokenSim:
 
 def mutate_payload(frame: gen2.Gen2Frame) -> gen2.Gen2Frame:
     """Flip one payload bit and re-frame with a fresh valid CRC (an active
-    relay), so the token answers instead of staying silent on a bad CRC."""
+    relay), so the token answers instead of staying silent on a bad CRC.
+
+    A TagPrivilege frame carries only its fixed word, so it passes unchanged.
+    """
     view = gen2.decode(frame)
-    if isinstance(view, gen2.SecureComm):
+    if isinstance(view, gen2.Authenticate):
+        view = gen2.Authenticate(csi=view.csi ^ 0x01)
+    elif isinstance(view, gen2.SecureComm):
         ct = bytearray(view.ciphertext)
         ct[0] ^= 0x01
         view = gen2.SecureComm(inner_wordptr=view.inner_wordptr, ciphertext=bytes(ct))
@@ -454,13 +459,14 @@ class TamperPolicy:
 
 
 class Channel:
-    """Reader-to-token transport with optional tampering and a transcript."""
+    """Reader-to-token transport with optional tampering; frames holds
+    every frame delivered, as the token received it."""
 
     def __init__(self, token: TokenSim, policy: TamperPolicy | None = None) -> None:
         self.token = token
         self.policy = policy or TamperPolicy()
         self.counter = 0
-        self.transcript: list[str] = []
+        self.frames: list[gen2.Gen2Frame] = []
 
     def send(self, frame: gen2.Gen2Frame) -> Reply:
         index = self.counter
@@ -475,7 +481,7 @@ class Channel:
             for pos in flips:
                 bits = bits.flip(pos % bits.length)
             frame = gen2.Gen2Frame(bits=bits)
-        self.transcript.append(frame.to_hex())
+        self.frames.append(frame)
         return self.token.deliver(frame)
 
     def reset_token(self) -> None:

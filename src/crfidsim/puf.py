@@ -37,9 +37,6 @@ DEFAULT_TEMP_ANCHORS: tuple[tuple[float, float], ...] = (
 TRNG_FOLD = 16
 TRNG_CELLS = DEFAULT_LAYOUT.trng_cells
 
-# Readouts this close in temperature belong to the same setting
-TEMP_TOL = 0.01
-
 DUMP_MAGIC = b"SPUF"
 DUMP_VERSION = 1
 
@@ -88,9 +85,6 @@ class DumpSet:
         if not self.readouts:
             raise ValueError("empty dump set")
         return len(self.readouts[0].bits)
-
-    def at_temperature(self, temperature: float) -> list[Readout]:
-        return [r for r in self.readouts if abs(r.temperature - temperature) <= TEMP_TOL]
 
 
 def synth_device(

@@ -25,7 +25,6 @@ from crfidsim.gen2 import (
     crc16,
     decode,
     encode,
-    frame_from_hex,
     parse_fields,
     residue_ok,
 )
@@ -289,7 +288,7 @@ def test_criterion_07_and_10_tamper_fuzzing(capsys, rig):
     assert protocol.prover_update(
         db, "tok-acc", image, clean_channel
     ) is protocol.UpdateOutcome.COMMITTED
-    recorded = [frame_from_hex(h) for h in clean_channel.transcript]
+    recorded = list(clean_channel.frames)
 
     stale_completions = 0
     for i in range(200):

@@ -224,12 +224,16 @@ class TestUpdate:
             "--out", str(tmp_path),
         )
         assert code == 0
-        from crfidsim.gen2 import decode, frame_from_hex
+        from crfidsim.gen2 import BitString, Gen2Frame, decode
 
         lines = (tmp_path / "transcript-0.txt").read_text().strip().split("\n")
         assert len(lines) == 8
         for line in lines:
-            decode(frame_from_hex(line))
+            # a frame has 50 + 8*EBV + 16*words bits, so 6 pad bits per line
+            data = bytes.fromhex(line)
+            packed = int.from_bytes(data, "big")
+            assert packed & 0x3F == 0
+            decode(Gen2Frame(bits=BitString(packed >> 6, 8 * len(data) - 6)))
 
     def test_deterministic_under_seed(self, capsys):
         argv = ("update", "--seed", "7", "--image", "sense",

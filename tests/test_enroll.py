@@ -29,38 +29,33 @@ def base_bits() -> np.ndarray:
     return bits
 
 
-def dumpset(rows, temps):
-    readouts = tuple(
-        puf.Readout(bits=row, temperature=t) for row, t in zip(rows, temps)
-    )
-    return puf.DumpSet(device_id=1, readouts=readouts)
+def eligible(rows):
+    """Full-array rows cut to the eligible region: (reads, bytes, 8)."""
+    region = np.stack(rows)[:, 8 * ELIGIBLE_START : 8 * ELIGIBLE_END]
+    return region.reshape(len(rows), DEFAULT_LAYOUT.eligible_bytes, 8)
 
 
-def crafted_dumps():
+def crafted_reads():
     """Corner flip at byte start+2, nominal tie at byte start+3."""
-    corner_rows, corner_temps = [], []
+    corner_rows = []
     for t in (0.0, 40.0):
         for i in range(2):
             bits = base_bits()
             if t == 0.0 and i == 1:
                 bits[8 * (ELIGIBLE_START + 2)] ^= 1
             corner_rows.append(bits)
-            corner_temps.append(t)
     nominal_rows = []
     for i in range(10):
         bits = base_bits()
         if i < 5:
             bits[8 * (ELIGIBLE_START + 3) + 2] ^= 1
         nominal_rows.append(bits)
-    return (
-        dumpset(corner_rows, corner_temps),
-        dumpset(nominal_rows, [25.0] * 10),
-    )
+    return eligible(corner_rows), eligible(nominal_rows)
 
 
 class TestPreSelect:
     def test_survivors_and_exclusions(self):
-        corners, nominal = crafted_dumps()
+        corners, nominal = crafted_reads()
         mask = enroll.pre_select(corners, nominal)
         assert ELIGIBLE_START in mask.addresses
         assert ELIGIBLE_START + 1 in mask.addresses       # stable, HW 3
@@ -69,37 +64,25 @@ class TestPreSelect:
         assert len(mask) == DEFAULT_LAYOUT.eligible_bytes - 2
 
     def test_majority_values_lsb_first(self):
-        corners, nominal = crafted_dumps()
+        corners, nominal = crafted_reads()
         mask = enroll.pre_select(corners, nominal)
         by_addr = dict(zip(mask.addresses, mask.values))
         assert by_addr[ELIGIBLE_START] == HW4_VALUE
         assert by_addr[ELIGIBLE_START + 1] == HW3_VALUE
 
     def test_majority_outvotes_minority_flips(self):
-        corners, _ = crafted_dumps()
+        corners, _ = crafted_reads()
         rows = [base_bits() for _ in range(10)]
         for i in range(3):   # 3 of 10 flipped: majority keeps the base value
             rows[i][8 * ELIGIBLE_START] ^= 1
-        mask = enroll.pre_select(corners, dumpset(rows, [25.0] * 10))
+        mask = enroll.pre_select(corners, eligible(rows))
         assert dict(zip(mask.addresses, mask.values))[ELIGIBLE_START] == HW4_VALUE
-
-    def test_too_few_corner_readouts(self):
-        corners, nominal = crafted_dumps()
-        thin = puf.DumpSet(device_id=1, readouts=corners.readouts[:3])
-        with pytest.raises(ValueError, match="readouts at"):
-            enroll.pre_select(thin, nominal)
-
-    def test_too_few_nominal_readouts(self):
-        corners, nominal = crafted_dumps()
-        thin = puf.DumpSet(device_id=1, readouts=nominal.readouts[:9])
-        with pytest.raises(ValueError, match="nominal"):
-            enroll.pre_select(corners, thin)
 
     def test_nothing_stable_raises(self):
         zeros = np.zeros(CELLS, dtype=np.uint8)
         ones = np.ones(CELLS, dtype=np.uint8)
-        corners = dumpset([zeros, ones, zeros, ones], [0.0, 0.0, 40.0, 40.0])
-        nominal = dumpset([zeros] * 10, [25.0] * 10)
+        corners = eligible([zeros, ones, zeros, ones])
+        nominal = eligible([zeros] * 10)
         with pytest.raises(enroll.EmptyRegionError):
             enroll.pre_select(corners, nominal)
 
@@ -268,6 +251,12 @@ class TestFullPipeline:
         assert abs(ones / total - 0.5) < 0.005
 
 
+def test_device_short_of_the_eligible_region_rejected():
+    dev = puf.synth_device(num_cells=8 * ELIGIBLE_END - 1, seed=0)
+    with pytest.raises(enroll.InsufficientMaterialError, match="eligible region"):
+        enroll.enroll_device(dev, "short")
+
+
 class TestRecordSerialization:
     def test_round_trip(self):
         dev = puf.synth_device(seed=3)
@@ -294,6 +283,25 @@ class TestRecordSerialization:
         with pytest.raises(ValueError, match=key):
             enroll.record_from_text("\n".join(lines))
 
+    @pytest.mark.parametrize("key", ["blocks", "block 1", "ref 1", "device_id"])
+    def test_missing_line_rejected(self, key):
+        record = enroll.enroll_device(puf.synth_device(seed=3), device_id="tok-3")
+        assert len(record.crp_map) >= 2     # so block 1 and ref 1 exist
+        lines = enroll.record_to_text(record).split("\n")
+        lines = [line for line in lines if not line.startswith(f"{key}: ")]
+        with pytest.raises(ValueError, match=f"{key}: line"):
+            enroll.record_from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("part", ["start", "offsets"])
+    def test_missing_block_part_rejected(self, part):
+        record = enroll.enroll_device(puf.synth_device(seed=3), device_id="tok-3")
+        lines = enroll.record_to_text(record).split("\n")
+        i = next(j for j, line in enumerate(lines) if line.startswith("block 0: "))
+        lines[i] = " ".join(p for p in lines[i].split(" ")
+                            if not p.startswith(f"{part}="))
+        with pytest.raises(ValueError, match="block 0 needs start= and offsets="):
+            enroll.record_from_text("\n".join(lines))
+
     def test_text_is_line_oriented(self):
         dev = puf.synth_device(seed=3)
         record = enroll.enroll_device(dev, device_id="tok-3")
@@ -314,6 +322,20 @@ class TestPinnedOutputs:
             "2c9702602298a471c8f41c0d633bbeb796b3e77cd1199ecbb0f35d6ce8c880b1"
         )
         assert enroll.efficiency(record.crp_map) == 0.11151079136690648
+
+    def test_pipeline_ber(self):
+        dev = puf.synth_device(seed=11)
+        record = enroll.enroll_device(dev, "pin")
+        assert enroll.measure_pipeline_ber(dev, record) == 0.002116935483870968
+
+    def test_records_of_eight_devices(self):
+        digest = hashlib.sha256()
+        for seed in range(8):
+            record = enroll.enroll_device(puf.synth_device(seed=seed), f"dev-{seed}")
+            digest.update(enroll.record_to_text(record).encode())
+        assert digest.hexdigest() == (
+            "228d7f524d32b09c290fa3356e6f6fa824c1189d527e0aaf86b26fb3d955eb14"
+        )
 
     def test_trng_bits(self):
         bits = puf.trng_next(puf.synth_device(seed=11), 128, trial_seed=5,

@@ -279,11 +279,10 @@ def test_mc_key_failure_rejects_bad_ber(ber):
         fuzzy.mc_key_failure(ber, fuzzy.default_config(), sessions=10, seed=1)
 
 
-@pytest.mark.parametrize("sessions,batch_size", [(0, 10), (-1, 10), (10, 0)])
-def test_mc_key_failure_rejects_no_sessions(sessions, batch_size):
+@pytest.mark.parametrize("sessions,seed", [(0, 10), (-1, 10)])
+def test_mc_key_failure_rejects_no_sessions(sessions, seed):
     with pytest.raises(ValueError):
-        fuzzy.mc_key_failure(0.01, fuzzy.default_config(), sessions=sessions, seed=1,
-                             batch_size=batch_size)
+        fuzzy.mc_key_failure(0.01, fuzzy.default_config(), sessions=sessions, seed=seed)
 
 
 class _NoGeometric:

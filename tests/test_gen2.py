@@ -308,18 +308,3 @@ class TestHexDump:
         text = f.to_hex()
         assert all(len(tok) == 2 for tok in text.split())
         assert text.startswith("c7")
-
-    def test_round_trip_explicit_length(self):
-        f = gen2.encode(gen2.TagPrivilege(), 0x5555)
-        back = gen2.frame_from_hex(f.to_hex(), nbits=len(f.bits))
-        assert back == f
-
-    def test_round_trip_inferred_length(self):
-        f = gen2.encode(
-            gen2.BlockWrite(membank=2, wordptr=321, words=(5, 6)), 0x7777
-        )
-        assert gen2.frame_from_hex(f.to_hex()) == f
-
-    def test_garbage_rejected(self):
-        with pytest.raises(gen2.BadCrcError):
-            gen2.frame_from_hex("de ad be ef")

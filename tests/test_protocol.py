@@ -260,8 +260,8 @@ class TestEndToEnd:
         token = fresh_token(enrolled)
         ch = protocol.Channel(token)
         protocol.prover_update(db, 11, IMAGE, ch)
-        assert len(ch.transcript) == 8
-        views = [gen2.decode(gen2.frame_from_hex(line)) for line in ch.transcript]
+        assert len(ch.frames) == 8
+        views = [gen2.decode(frame) for frame in ch.frames]
         assert isinstance(views[0], gen2.TagPrivilege)
         assert isinstance(views[2], gen2.Authenticate)
         assert isinstance(views[-1], gen2.SecureComm)
@@ -273,7 +273,7 @@ class TestEndToEnd:
         c1, c2 = protocol.Channel(t1), protocol.Channel(t2)
         protocol.prover_update(db, 11, IMAGE, c1)
         protocol.prover_update(db, 11, IMAGE, c2)
-        assert c1.transcript == c2.transcript
+        assert c1.frames == c2.frames
 
     def test_shuffled_and_duplicated_chunks_reassemble(self, enrolled):
         dev, record, db = enrolled
@@ -326,6 +326,32 @@ class TestTamperAndReplay:
         assert out is protocol.UpdateOutcome.TIMEOUT
         assert bytes(token.nvm.app_area) == bytes(len(token.nvm.app_area))
 
+    @pytest.mark.parametrize("view", [
+        gen2.BlockWrite(membank=0, wordptr=protocol.SETUP_WORDPTR, words=(1, 2, 3)),
+        gen2.BlockWrite(membank=3, wordptr=0, words=(0xBEEF, 7)),
+        gen2.Authenticate(csi=protocol.CSI_CMAC_AES128),
+        gen2.SecureComm(inner_wordptr=0, ciphertext=bytes(16)),
+    ], ids=["bank0-write", "bank3-write", "authenticate", "securecomm"])
+    def test_mutation_changes_every_kind_but_privilege(self, view):
+        frame = gen2.encode(view, rn=5)
+        assert gen2.decode(protocol.mutate_payload(frame)) != view
+
+    def test_mutation_leaves_privilege_unchanged(self):
+        frame = gen2.encode(gen2.TagPrivilege(), rn=5)
+        assert gen2.decode(protocol.mutate_payload(frame)) == gen2.TagPrivilege()
+
+    def test_mutated_authenticate_rejected(self, enrolled):
+        _, _, db = enrolled
+        mutate_auth = protocol.TamperPolicy(mutations=frozenset({2}))
+        ch = protocol.Channel(fresh_token(enrolled), mutate_auth)
+        reply = open_update(ch, size=IMAGE.total_bytes)
+        assert reply == protocol.Nak(protocol.ErrorCode.BAD_METHOD)
+
+        token = fresh_token(enrolled)
+        out = protocol.prover_update(db, 11, IMAGE, protocol.Channel(token, mutate_auth))
+        assert out is protocol.UpdateOutcome.REJECTED_BY_TOKEN
+        assert bytes(token.nvm.app_area) == bytes(len(token.nvm.app_area))
+
     def test_tampered_helper_never_commits(self, enrolled):
         """Helper tamper aimed at an information coordinate corrupts the key."""
         from crfidsim import bch
@@ -369,7 +395,7 @@ class TestTamperAndReplay:
         token = fresh_token(enrolled, session_seed=40)
         ch = protocol.Channel(token)
         assert protocol.prover_update(db, 11, IMAGE, ch) is protocol.UpdateOutcome.COMMITTED
-        stale = gen2.frame_from_hex(ch.transcript[-1])
+        stale = ch.frames[-1]
         committed_app = bytes(token.nvm.app_area)
 
         other = protocol.demo_images()["sense"]

@@ -272,11 +272,3 @@ def test_device_from_dump_reproduces_stable_cells():
     got = puf.readout(fitted, 25.0, trial_seed=50).bits
     # a flip-free dump reproduces the cells exactly
     assert float(np.mean(want != got)) == 0.0
-
-
-def test_dumpset_grouping():
-    dev = puf.synth_device(seed=34, num_cells=128)
-    dump = puf.collect_dump(dev, device_id=3, temperatures=[0.0, 40.0],
-                            readouts_per_temp=2)
-    assert len(dump.at_temperature(0.0)) == 2
-    assert len(dump.at_temperature(40.0)) == 2
