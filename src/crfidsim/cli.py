@@ -167,7 +167,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         device_id = f"dev-{seed:04d}"
         try:
             record = enroll.enroll_device(device, device_id)
-        except (enroll.InsufficientMaterialError, enroll.EmptyRegionError) as exc:
+        except enroll.InsufficientMaterialError as exc:
             raise InputError(f"{device_id}: {exc}") from exc
         blocks = len(record.crp_map)
         eff = 100.0 * enroll.efficiency(record.crp_map)
@@ -243,7 +243,7 @@ def cmd_update(args: argparse.Namespace) -> int:
     token_id = f"dev-{args.seed:04d}"
     try:
         record = enroll.enroll_device(device, token_id)
-    except (enroll.InsufficientMaterialError, enroll.EmptyRegionError) as exc:
+    except enroll.InsufficientMaterialError as exc:
         raise InputError(str(exc)) from exc
     db = protocol.ProverDb()
     db.add(record)
@@ -283,7 +283,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     device = load_device(args.device, args.seed)
     try:
         record = enroll.enroll_device(device, f"dev-{args.seed:04d}")
-    except (enroll.InsufficientMaterialError, enroll.EmptyRegionError) as exc:
+    except enroll.InsufficientMaterialError as exc:
         raise InputError(str(exc)) from exc
     cfg = fe_config_from(args)
     base = 9_000_000 + args.seed * 10_000

@@ -39,13 +39,10 @@ ELIGIBLE_BYTES = DEFAULT_LAYOUT.eligible_bytes
 ELIGIBLE_CELLS = (8 * ELIGIBLE_START, 8 * (ELIGIBLE_START + ELIGIBLE_BYTES))
 
 
-class EmptyRegionError(ValueError):
-    """No bytes survived a selection stage."""
-
-
 class InsufficientMaterialError(ValueError):
-    """Not enough material for even one CRP block: too few winnowed bytes,
-    or readouts that do not cover the eligible region."""
+    """Not enough material for even one CRP block: no byte survived a
+    selection stage, too few winnowed bytes, or readouts that do not cover
+    the eligible region."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ def pre_select(corner: np.ndarray, nominal: np.ndarray) -> StableByteMask:
 
     keep = stable & ~tie
     if not keep.any():
-        raise EmptyRegionError("no byte survived stability screening")
+        raise InsufficientMaterialError("no byte survived stability screening")
     idx = np.flatnonzero(keep)
     weights = 1 << np.arange(8)  # LSB-first bit order within a byte
     values = (majority[idx] * weights).sum(axis=1)
@@ -121,13 +118,13 @@ def pre_select(corner: np.ndarray, nominal: np.ndarray) -> StableByteMask:
 def debias(mask: StableByteMask) -> StableByteMask:
     """Retain bytes whose reference value is Hamming-weight balanced (4 of 8)."""
     if len(mask) == 0:
-        raise EmptyRegionError("empty input mask")
+        raise InsufficientMaterialError("empty input mask")
     kept = [
         (a, v) for a, v in zip(mask.addresses, mask.values)
         if bin(v).count("1") == 4
     ]
     if not kept:
-        raise EmptyRegionError("no byte survived de-biasing")
+        raise InsufficientMaterialError("no byte survived de-biasing")
     addresses, values = zip(*kept)
     return StableByteMask(addresses=addresses, values=values)
 
@@ -247,32 +244,3 @@ def record_to_text(record: EnrollmentRecord) -> str:
         raw = ref.to_bytes(BLOCK_BYTES, "little")
         lines.append(f"ref {i}: {base64.b64encode(raw).decode()}")
     return "\n".join(lines) + "\n"
-
-
-def record_from_text(text: str) -> EnrollmentRecord:
-    """Parse record_to_text's format; a record enrolled under another recipe
-    (a missing or different recipe line) or lacking any line is a ValueError."""
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        key, _, value = line.partition(":")
-        if key.strip():
-            fields[key.strip()] = value.strip()
-
-    def need(key: str) -> str:
-        if key not in fields:
-            raise ValueError(f"record lacks its {key}: line")
-        return fields[key]
-
-    for key, want in RECIPE_LINES.items():
-        if fields.get(key) != want:
-            raise ValueError(f"record {key} is {fields.get(key)!r}, recipe has {want!r}")
-    blocks, refs = [], []
-    for i in range(int(need("blocks"))):
-        parts = dict(p.split("=", 1) for p in need(f"block {i}").split())
-        if parts.keys() != {"start", "offsets"}:
-            raise ValueError(f"record block {i} needs start= and offsets=")
-        offsets = tuple(int(o) for o in parts["offsets"].split(","))
-        blocks.append(CrpBlock(start_address=int(parts["start"]), offsets=offsets))
-        refs.append(int.from_bytes(base64.b64decode(need(f"ref {i}")), "little"))
-    return EnrollmentRecord(device_id=need("device_id"), crp_map=CrpBlockMap(tuple(blocks)),
-                            references=tuple(refs))

@@ -8,7 +8,7 @@ extremes. Readouts are deterministic given (device seed, trial seed).
 The TRNG region at the SRAM base is populated from the device's noisy-cell
 budget first, mirroring the provisioning step that places the entropy
 source over metastable cells; a fully noiseless device therefore has a
-degenerate (constant) TRNG, which the health check flags.
+degenerate (constant) TRNG.
 """
 
 from __future__ import annotations
@@ -127,6 +127,11 @@ def synth_device(
 
 
 def temp_scale(temperature: float) -> float:
+    """Flip-probability scale at a temperature inside [TEMP_MIN, TEMP_MAX]."""
+    if not TEMP_MIN <= temperature <= TEMP_MAX:
+        raise TemperatureRangeError(
+            f"temperature {temperature} outside model range [{TEMP_MIN}, {TEMP_MAX}]"
+        )
     xs = [a[0] for a in DEFAULT_TEMP_ANCHORS]
     ys = [a[1] for a in DEFAULT_TEMP_ANCHORS]
     return float(np.interp(temperature, xs, ys))
@@ -136,10 +141,6 @@ def _temperature_probs(
     device: PufDevice, temperature: float, lo: int, hi: int
 ) -> np.ndarray:
     """One-probabilities of cells lo..hi-1 at the given temperature."""
-    if not TEMP_MIN <= temperature <= TEMP_MAX:
-        raise TemperatureRangeError(
-            f"temperature {temperature} outside model range [{TEMP_MIN}, {TEMP_MAX}]"
-        )
     p = device.cell_one_prob[lo:hi]
     prefers_one = p >= 0.5
     flip = np.where(prefers_one, 1.0 - p, p)
@@ -229,65 +230,33 @@ def bias(readouts: Sequence[Sequence[int]]) -> float:
 
 # ----------------------------------------------------------------------- trng
 
-def _trng_cycle(
-    device: PufDevice, probs: np.ndarray, temperature: float, trial_seed: int
-) -> np.ndarray:
-    """One power cycle of the TRNG region, XOR-folded TRNG_FOLD cells to a bit."""
-    per_cycle = probs.size // TRNG_FOLD
-    cells = _sample(device, probs, temperature, trial_seed, 0)
-    folded = cells[: per_cycle * TRNG_FOLD].reshape(per_cycle, TRNG_FOLD).sum(axis=1) % 2
-    return folded.astype(np.uint8)
-
-
-def _trng_probs(device: PufDevice, temperature: float) -> np.ndarray:
-    """One-probabilities of the TRNG region, the first TRNG_CELLS cells."""
-    region = min(TRNG_CELLS, device.num_cells)
-    if region < TRNG_FOLD:
-        raise InsufficientEntropyError(
-            f"TRNG region of {region} cells cannot feed a {TRNG_FOLD}-bit fold"
-        )
-    return _temperature_probs(device, temperature, 0, region)
-
-
 def trng_next(
     device: PufDevice, nbits: int, trial_seed: int, temperature: float = 25.0
 ) -> np.ndarray:
     """Random bits from XOR-folded power-up values of the TRNG region.
 
-    Each power cycle of the region yields region_cells // TRNG_FOLD bits;
-    the call draws fresh cycles until nbits are collected.
+    The region is the first TRNG_CELLS cells, or all cells of a smaller
+    device. Each power cycle of it yields region_cells // TRNG_FOLD bits,
+    one per TRNG_FOLD cells; the call draws fresh cycles until nbits are
+    collected.
     """
     if not 0 < nbits <= 128:
         raise ValueError("nbits must be in 1..128")
-    probs = _trng_probs(device, temperature)
+    region = min(TRNG_CELLS, device.num_cells)
+    if region < TRNG_FOLD:
+        raise InsufficientEntropyError(
+            f"TRNG region of {region} cells cannot feed a {TRNG_FOLD}-bit fold"
+        )
+    probs = _temperature_probs(device, temperature, 0, region)
+    used = region // TRNG_FOLD * TRNG_FOLD
     out = np.empty(0, dtype=np.uint8)
     cycle = 0
     while out.size < nbits:
-        folded = _trng_cycle(device, probs, temperature, trial_seed * 65536 + cycle)
-        out = np.concatenate([out, folded])
+        cells = _sample(device, probs, temperature, trial_seed * 65536 + cycle, 0)
+        folded = cells[:used].reshape(-1, TRNG_FOLD).sum(axis=1) % 2
+        out = np.concatenate([out, folded.astype(np.uint8)])
         cycle += 1
     return out[:nbits]
-
-
-@dataclass(frozen=True)
-class TrngHealth:
-    position_freq: np.ndarray
-    degenerate: bool
-
-
-def trng_health(device: PufDevice, cycles: int = 200, trial_seed: int = 0) -> TrngHealth:
-    """Per-fold-position one-frequency over repeated cycles.
-
-    Degenerate means some output position is constant across all sampled
-    cycles (e.g. a noiseless device).
-    """
-    probs = _trng_probs(device, 25.0)
-    acc = np.zeros(probs.size // TRNG_FOLD, dtype=np.int64)
-    for c in range(cycles):
-        acc += _trng_cycle(device, probs, 25.0, (trial_seed + 1) * 131072 + c)
-    freq = acc / cycles
-    degenerate = bool(((freq == 0.0) | (freq == 1.0)).any())
-    return TrngHealth(position_freq=freq, degenerate=degenerate)
 
 
 # -------------------------------------------------------------------- dump IO
@@ -339,15 +308,22 @@ def read_dump(path: str) -> DumpSet:
 
 
 def device_from_dump(dump: DumpSet, seed: int = 0) -> PufDevice:
-    """Fit a per-cell one-probability model to recorded readouts.
+    """Fit a per-cell one-probability model at 25 C to recorded readouts.
 
-    Plain per-cell frequency pooled over all temperatures. A cell the dump
-    never saw flip is treated as deterministic, so a noiseless dump yields
-    a noiseless device.
+    A cell's flip frequency, pooled over all readouts, is divided by the
+    mean temp_scale of the readouts' temperatures, so the fitted device
+    flips at the dump's temperatures about as often as the source did. A
+    cell the dump never saw flip is treated as deterministic, so a noiseless
+    dump yields a noiseless device. A readout outside [TEMP_MIN, TEMP_MAX]
+    raises TemperatureRangeError.
     """
     cells = dump.num_cells
     ones = np.zeros(cells, dtype=np.int64)
     for r in dump.readouts:
         ones += r.bits
-    prob = ones / len(dump.readouts)
+    freq = ones / len(dump.readouts)
+    scale = np.mean([temp_scale(r.temperature) for r in dump.readouts])
+    prefers_one = freq >= 0.5
+    flip = np.where(prefers_one, 1.0 - freq, freq) / scale
+    prob = np.where(prefers_one, 1.0 - flip, flip)
     return PufDevice(num_cells=cells, cell_one_prob=prob, rng_seed=seed)

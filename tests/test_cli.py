@@ -94,6 +94,15 @@ class TestEnroll:
         assert code == 3
         assert "empty dump set" in cap.err
 
+    def test_dump_temperature_outside_model_range_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "hot.dump"
+        bits = np.zeros(64, dtype=np.uint8)
+        puf.write_dump(str(path), puf.DumpSet(1, [puf.Readout(bits, 90.0)]))
+        code, cap = run_cli(capsys, "enroll", "--device", f"dump:{path}")
+        assert code == 3
+        assert "outside model range" in cap.err
+        assert "Traceback" not in cap.err
+
     def test_dump_smaller_than_eligible_region_clean_error(self, capsys, tmp_path):
         device = puf.PufDevice(num_cells=512, cell_one_prob=np.full(512, 0.5), rng_seed=4)
         path = tmp_path / "small.dump"
@@ -117,12 +126,10 @@ class TestEnroll:
             capsys, "enroll", "--seed", "11", "--out", str(tmp_path)
         )
         assert code == 0
-        record_file = tmp_path / "dev-0011.record.txt"
-        assert record_file.exists()
         assert (tmp_path / "enroll.tsv").exists()
-        parsed = enroll.record_from_text(record_file.read_text())
-        assert parsed.device_id == "dev-0011"
-        assert len(parsed.crp_map) >= 2
+        want = enroll.record_to_text(
+            enroll.enroll_device(puf.synth_device(seed=11), "dev-0011"))
+        assert (tmp_path / "dev-0011.record.txt").read_bytes() == want.encode()
 
 
 class TestUpdate:

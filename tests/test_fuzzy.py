@@ -236,6 +236,20 @@ def test_vectorized_kernel_matches_scalar_api():
         assert scalar_failed == bool(failed_vec[s]), f"session {s}"
 
 
+@pytest.mark.parametrize("n,k,t,blocks,ber", [(7, 4, 1, 4, 0.2), (31, 16, 3, 8, 0.1)])
+def test_run_sessions_fails_exactly_when_a_block_exceeds_t(n, k, t, blocks, ber):
+    """bch.correct decodes up to t errors, and the code's distance is at least
+    2t + 1. A block of weight <= t thus decodes to its own error mask. A
+    heavier one either fails to decode or decodes to e' != e with the same
+    syndrome; e ^ e' is then a nonzero codeword, whose information bits are
+    nonzero because the code is systematic, so the keys differ."""
+    cfg = fuzzy.FeConfig(code=bch.make_code(n, k, t), blocks=blocks)
+    e = fuzzy.error_masks(np.random.default_rng(4242), (3000, blocks), n, ber)
+    want = [any(m.bit_count() > t for m in row) for row in e.tolist()]
+    assert 0 < sum(want) < len(want)
+    assert fuzzy.run_sessions(e, cfg).tolist() == want
+
+
 @pytest.mark.parametrize("n,ber", [(31, 0.0094), (31, 0.2), (31, 0.8), (63, 0.2)])
 def test_error_masks_are_bernoulli(n, ber):
     rows = 40_000

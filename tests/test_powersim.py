@@ -386,6 +386,8 @@ class TestCriticalRate:
             assert not ps.cold_start_session(1.0, sleep, 0, kappa=below).success
 
     def test_sleep_lowers_the_threshold(self):
+        # with test_success_prob_trends, criterion 9's monotonicity in sleep
+        # and distance as a fact of construction, next to its sampled check
         rates = [ps.critical_rate(s) for s in ps.SLEEP_CHOICES]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
@@ -429,6 +431,7 @@ class TestCriticalRate:
                 assert abs(ps.success_rate(d, s, n, seed=42) - p) <= 4 * se
 
     def test_success_prob_trends(self):
+        # DISTANCES holds criterion 9's six distances
         for s in ps.SLEEP_CHOICES:
             probs = [ps.success_prob(d, s) for d in self.DISTANCES]
             assert all(a > b for a, b in zip(probs, probs[1:]))
