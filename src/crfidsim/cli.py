@@ -27,6 +27,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 
+# cmd_analyze reads trial j of each readout row at trial seed base + offset + j,
+# with offsets 100 apart; more trials would read another row's readouts again
+ANALYZE_MAX_TRIALS = 100
+
 OUTCOME_EXIT = {
     UpdateOutcome.COMMITTED: 0,
     UpdateOutcome.REJECTED_BY_TOKEN: 10,
@@ -65,7 +69,7 @@ def load_image(name: str) -> protocol.FirmwareImage:
         raise InputError(f"cannot load image {name!r}: {exc}") from exc
     if not data:
         raise InputError(f"image {name!r} is empty")
-    return protocol.FirmwareImage(segments=(protocol.Segment(0, data),))
+    return protocol.FirmwareImage(data)
 
 
 def parse_code(text: str) -> bch.BchParams:
@@ -92,6 +96,14 @@ def positive_int(text: str) -> int:
 
 def non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
+
+
+def analyze_trials(text: str) -> int:
+    value = positive_int(text)
+    if value > ANALYZE_MAX_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {ANALYZE_MAX_TRIALS}, got {value}")
+    return value
 
 
 def positive_float(text: str) -> float:
@@ -346,15 +358,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
     _, helper = fuzzy.fe_gen(response, cfg)
     candidates = list(fuzzy.coset_candidates(helper, cfg))
 
-    tampered = fuzzy.HelperData(helper.bits ^ 1)
-    tampered_set = set(fuzzy.coset_candidates(tampered, cfg))
+    tampered_set = set(fuzzy.coset_candidates(helper ^ 1, cfg))
     overlap = len(tampered_set & set(candidates))
 
     full = fuzzy.default_config()
     lines = [
         "# attack_demo",
         f"code\t({code.n},{code.k},{code.t})",
-        "helper\t" + f"{helper.bits:0{cfg.helper_bits}b}"[::-1],   # bit 0 first
+        "helper\t" + f"{helper:0{cfg.helper_bits}b}"[::-1],   # bit 0 first
         f"candidates\t{len(candidates)}",
         f"expected\t2^{code.k} = {2 ** code.k}",
         f"true_response_in_candidates\t{'yes' if response in candidates else 'no'}",
@@ -407,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--code", type=parse_code,
                            default=bch.make_code(31, 16, 3))
     p_analyze.add_argument("--blocks", type=positive_int, default=8)
-    p_analyze.add_argument("--trials", type=positive_int, default=5)
+    p_analyze.add_argument("--trials", type=analyze_trials, default=5)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_attack = sub.add_parser("attack", help="helper-data coset demonstration")

@@ -62,26 +62,12 @@ def reverse_bits(value: int, nbits: int) -> int:
     return int(f"{value:0{nbits}b}"[::-1], 2)
 
 
-@dataclass(frozen=True)
-class HelperData:
-    bits: int
-
-
-@dataclass(frozen=True)
-class SessionKey:
-    bits: int
-
-    def as_bytes(self) -> bytes:
-        """The 128-bit AES key, key bit i in MSB-first bit i."""
-        return reverse_bits(self.bits, 128).to_bytes(16, "big")
-
-
 class KeyRecoveryFailure(Exception):
     """Some block failed bounded-distance decoding."""
 
 
-def fe_gen(r: int, cfg: FeConfig) -> tuple[SessionKey, HelperData]:
-    """Helper data = concatenated per-block syndromes; key = info-set bits."""
+def fe_gen(r: int, cfg: FeConfig) -> tuple[int, int]:
+    """(key, helper): key = info-set bits; helper = concatenated per-block syndromes."""
     bch.check_width(r, cfg.response_bits, "response")
     n, k = cfg.code.n, cfg.code.k
     nk, mask = n - k, (1 << n) - 1
@@ -90,29 +76,29 @@ def fe_gen(r: int, cfg: FeConfig) -> tuple[SessionKey, HelperData]:
         block = (r >> (i * n)) & mask
         helper |= bch.syndrome(block, cfg.code) << (i * nk)
         key |= (block >> nk) << (i * k)
-    return SessionKey(key), HelperData(helper)
+    return key, helper
 
 
-def fe_rec(r_prime: int, h: HelperData, cfg: FeConfig) -> SessionKey:
+def fe_rec(r_prime: int, h: int, cfg: FeConfig) -> int:
     """Correct each enrolled block toward its published syndrome.
 
     Raises KeyRecoveryFailure if any block cannot be decoded; there are no
     partial keys.
     """
     bch.check_width(r_prime, cfg.response_bits, "response")
-    bch.check_width(h.bits, cfg.helper_bits, "helper")
+    bch.check_width(h, cfg.helper_bits, "helper")
     n, k = cfg.code.n, cfg.code.k
     nk, mask = n - k, (1 << n) - 1
     key = 0
     for i in range(cfg.blocks):
         block = (r_prime >> (i * n)) & mask
-        target = (h.bits >> (i * nk)) & ((1 << nk) - 1)
+        target = (h >> (i * nk)) & ((1 << nk) - 1)
         try:
             fixed = bch.correct(block, target, cfg.code)
         except bch.DecodeFailure as exc:
             raise KeyRecoveryFailure(f"block {i}: {exc}") from exc
         key |= (fixed >> nk) << (i * k)
-    return SessionKey(key)
+    return key
 
 
 # ------------------------------------------------------------------ analytics
@@ -143,7 +129,7 @@ def residual_min_entropy(bias: float, cfg: FeConfig) -> float:
     return cfg.blocks * per_block
 
 
-def coset_candidates(h: HelperData, cfg: FeConfig) -> Iterator[int]:
+def coset_candidates(h: int, cfg: FeConfig) -> Iterator[int]:
     """All responses consistent with the given helper data (toy scale only).
 
     Enumerates every length-(blocks*n) word whose per-block syndromes equal
@@ -153,7 +139,7 @@ def coset_candidates(h: HelperData, cfg: FeConfig) -> Iterator[int]:
     if cfg.blocks != 1 or cfg.code.n > 20:
         raise ValueError("coset enumeration is only supported at toy scale")
     for w in range(1 << cfg.code.n):
-        if bch.syndrome(w, cfg.code) == h.bits:
+        if bch.syndrome(w, cfg.code) == h:
             yield w
 
 

@@ -93,41 +93,21 @@ Reply = Ack | Nak | AuthReply | None
 # ----------------------------------------------------------------- firmware
 
 @dataclass(frozen=True)
-class Segment:
-    load_offset: int            # words, download-area-relative
+class FirmwareImage:
+    """The image bytes, loaded at START_WORD of the download area."""
+
     data: bytes
 
     def __post_init__(self) -> None:
-        if self.load_offset < 0:
-            raise ValueError("negative load offset")
         if not self.data:
-            raise ValueError("empty segment")
-
-
-@dataclass(frozen=True)
-class FirmwareImage:
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("image needs at least one segment")
-        spans = sorted(
-            (2 * s.load_offset, 2 * s.load_offset + len(s.data)) for s in self.segments
-        )
-        for (_, end), (start, _) in zip(spans, spans[1:]):
-            if start < end:
-                raise ValueError("segments overlap")
+            raise ValueError("empty image")
 
     @property
     def total_bytes(self) -> int:
-        return max(2 * s.load_offset + len(s.data) for s in self.segments)
+        return len(self.data)
 
     def assemble(self) -> bytes:
-        buf = bytearray(self.total_bytes)
-        for s in self.segments:
-            off = 2 * s.load_offset
-            buf[off : off + len(s.data)] = s.data
-        return bytes(buf)
+        return self.data
 
 
 def demo_images() -> dict[str, FirmwareImage]:
@@ -135,9 +115,7 @@ def demo_images() -> dict[str, FirmwareImage]:
     out = {}
     for name, size in (("blinky", 399), ("sense", 273), ("boot-shim", 223)):
         rng = random.Random(f"fw-{name}")
-        out[name] = FirmwareImage(
-            segments=(Segment(load_offset=0, data=rng.randbytes(size)),)
-        )
+        out[name] = FirmwareImage(rng.randbytes(size))
     return out
 
 
@@ -206,33 +184,31 @@ class TokenNvm:
 class TokenState:
     mode: TokenMode
     nvm: TokenNvm
-    temperature: float
-    nonce: bytes | None = None
-    challenge: int | None = None
-    sk: fuzzy.SessionKey | None = None
-    helper: fuzzy.HelperData | None = None
+    key: bytes | None = None        # this boot's AES key
+    auth: AuthReply | None = None   # what Authenticate answers on this boot
     pending_setup: UpdateSetup | None = None
     update: UpdateSetup | None = None
     reset_scheduled: bool = False
 
     def volatile_cleared(self) -> bool:
         return (
-            self.nonce is None
-            and self.challenge is None
-            and self.sk is None
-            and self.helper is None
+            self.key is None
+            and self.auth is None
             and self.pending_setup is None
             and self.update is None
         )
 
 
 def _clear_volatile(state: TokenState) -> None:
-    state.nonce = None
-    state.challenge = None
-    state.sk = None
-    state.helper = None
+    state.key = None
+    state.auth = None
     state.pending_setup = None
     state.update = None
+
+
+def _to_wire(bits: int, nbits: int) -> bytes:
+    """bch's int bit order as MSB-first bytes: bit i goes to wire bit i."""
+    return fuzzy.reverse_bits(bits, nbits).to_bytes(nbits // 8, "big")
 
 
 def token_boot(
@@ -243,7 +219,7 @@ def token_boot(
 ) -> TokenState:
     """Power-on flow: temperature gate, fresh nonce/challenge, key derivation."""
     if not TEMP_LEGAL_MIN <= temperature <= TEMP_LEGAL_MAX:
-        return TokenState(mode=TokenMode.HALTED, nvm=nvm, temperature=temperature)
+        return TokenState(mode=TokenMode.HALTED, nvm=nvm)
     nonce = puf.trng_next(device, 128, trial_seed=4 * boot_seed,
                           temperature=temperature)
     c_bits = puf.trng_next(device, 8, trial_seed=4 * boot_seed + 1,
@@ -254,16 +230,14 @@ def token_boot(
     lo, hi = 8 * min(addresses), 8 * (max(addresses) + 1)
     cells = puf.readout_cells(device, temperature, 4 * boot_seed + 2, lo, hi)
     r = enroll.challenge_to_response(nvm.crp_map, challenge, cells, first_cell=lo)
-    sk, helper = fuzzy.fe_gen(r, FE_CONFIG)
+    key, helper = fuzzy.fe_gen(r, FE_CONFIG)
     mode = TokenMode.KEY_READY if nvm.firmware_update_flag else TokenMode.USER_CODE
     return TokenState(
         mode=mode,
         nvm=nvm,
-        temperature=temperature,
-        nonce=np.packbits(nonce).tobytes(),
-        challenge=challenge,
-        sk=sk,
-        helper=helper,
+        key=_to_wire(key, FE_CONFIG.key_bits),
+        auth=AuthReply(nonce=np.packbits(nonce).tobytes(), challenge=challenge,
+                       helper=_to_wire(helper, FE_CONFIG.helper_bits)),
     )
 
 
@@ -334,13 +308,7 @@ def token_handle(state: TokenState, frame: gen2.Gen2Frame) -> tuple[TokenState, 
         state.update = setup
         state.pending_setup = None
         state.mode = TokenMode.FIRMWARE_UPDATE
-        assert state.nonce is not None and state.challenge is not None
-        assert state.helper is not None
-        nbits = FE_CONFIG.helper_bits
-        helper = fuzzy.reverse_bits(state.helper.bits, nbits).to_bytes(nbits // 8, "big")
-        return state, AuthReply(
-            nonce=state.nonce, challenge=state.challenge, helper=helper
-        )
+        return state, state.auth
 
     if isinstance(view, gen2.BlockWrite):   # membank 1..3: data-plane write
         if view.membank != 3:
@@ -359,14 +327,12 @@ def token_handle(state: TokenState, frame: gen2.Gen2Frame) -> tuple[TokenState, 
     if isinstance(view, gen2.SecureComm):
         if state.mode is not TokenMode.FIRMWARE_UPDATE or state.update is None:
             return _reject(state, ErrorCode.BAD_MODE, reset=True)
-        assert state.sk is not None and state.nonce is not None
+        assert state.key is not None and state.auth is not None
         setup = state.update
-        key = state.sk.as_bytes()
-        s_prime = mac.sc_decrypt(view.ciphertext, key)
+        s_prime = mac.sc_decrypt(view.ciphertext, state.key)
         off = 2 * setup.start_word
         received = bytes(state.nvm.download_area[off : off + setup.size])
-        s = mac.mac_firmware(received, state.nonce, key)
-        if s.tag == s_prime:
+        if mac.mac_firmware(received, state.auth.nonce, state.key) == s_prime:
             commit_firmware(state)
             return state, Ack("commit")
         state.reset_scheduled = True
@@ -497,6 +463,21 @@ def _image_words(data: bytes) -> list[int]:
     return [int.from_bytes(data[i : i + 2], "big") for i in range(0, len(data), 2)]
 
 
+def recover_key(record: enroll.EnrollmentRecord, auth: AuthReply) -> bytes:
+    """The prover's AES key for a token's AuthReply.
+
+    Raises fuzzy.KeyRecoveryFailure if the helper is not helper_bits long
+    (garbled on the air) or a block cannot be decoded.
+    """
+    nbits = FE_CONFIG.helper_bits
+    if len(auth.helper) != nbits // 8:
+        raise fuzzy.KeyRecoveryFailure(
+            f"helper is {len(auth.helper)} bytes, not {nbits // 8}")
+    r_ref = record.reference_for_challenge(auth.challenge)
+    helper = fuzzy.reverse_bits(int.from_bytes(auth.helper, "big"), nbits)
+    return _to_wire(fuzzy.fe_rec(r_ref, helper, FE_CONFIG), FE_CONFIG.key_bits)
+
+
 def _run_attempt(
     record: enroll.EnrollmentRecord,
     image: FirmwareImage,
@@ -532,15 +513,8 @@ def _run_attempt(
     if not isinstance(reply, AuthReply):
         return fail_kind()
     auth = reply
-
-    nbits = FE_CONFIG.helper_bits
-    if len(auth.helper) != nbits // 8:     # garbled on the air: no usable helper
-        return UpdateOutcome.KEY_RECOVERY_FAILURE
-    r_ref = record.reference_for_challenge(auth.challenge)
-    wire = int.from_bytes(auth.helper, "big")
-    helper = fuzzy.HelperData(fuzzy.reverse_bits(wire, nbits))
     try:
-        sk = fuzzy.fe_rec(r_ref, helper, FE_CONFIG)
+        key = recover_key(record, auth)
     except fuzzy.KeyRecoveryFailure:
         return UpdateOutcome.KEY_RECOVERY_FAILURE
 
@@ -555,11 +529,8 @@ def _run_attempt(
         if not isinstance(reply, Ack):
             return fail_kind()
 
-    key = sk.as_bytes()
     tag = mac.mac_firmware(assembled, auth.nonce, key)
-    sc = gen2.SecureComm(
-        inner_wordptr=START_WORD, ciphertext=mac.sc_encrypt(tag.tag, key)
-    )
+    sc = gen2.SecureComm(inner_wordptr=START_WORD, ciphertext=mac.sc_encrypt(tag, key))
     reply = channel.send(gen2.encode(sc, rn()))
     if isinstance(reply, Ack):
         return UpdateOutcome.COMMITTED

@@ -100,7 +100,7 @@ def test_criterion_03_exhaustive_toy_code(capsys):
         by_syndrome.setdefault(s, set()).add(word)
     coset_ok &= len(by_syndrome) == 8
     for s, members in by_syndrome.items():
-        cands = set(fuzzy.coset_candidates(fuzzy.HelperData(s), cfg))
+        cands = set(fuzzy.coset_candidates(s, cfg))
         coset_ok &= len(cands) == 16 and cands == members
 
     ok = decode_ok and coset_ok
@@ -210,9 +210,7 @@ class _FuzzChannel(protocol.Channel):
         if hit and self.kind == "brownout":
             self.token.inject_brownout()
             st = self.token.state
-            wiped = (st.sk is None and st.nonce is None
-                     and st.challenge is None and st.helper is None)
-            self.volatility_violations += not wiped
+            self.volatility_violations += not (st.key is None and st.auth is None)
         reply = super().send(frame)
         if hit and self.kind == "replay":
             reply = super().send(frame)
@@ -299,7 +297,7 @@ def test_criterion_07_and_10_tamper_fuzzing(capsys, rig):
             channel.send(frame)
         token.inject_brownout()
         st = token.state
-        if not (st.sk is None and st.nonce is None and st.challenge is None):
+        if not (st.key is None and st.auth is None):
             volatility_violations += 1
         if token.deliver(recorded[3]) is not None:   # silent until field cycle
             volatility_violations += 1

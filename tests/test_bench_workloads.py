@@ -1,0 +1,37 @@
+"""The benchmark's update workloads still run against the library.
+
+bench/ lies outside the test paths, so a library change that breaks
+bench/workloads.py would otherwise show only under `pytest bench` or in a
+benchmark run. Each unit must pass the workload's own check.
+"""
+
+import importlib
+from itertools import islice
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def run_units(workload, units):
+    ctx = workload.build()
+    inputs = list(islice(workload.inputs("main"), units))
+    return inputs, [workload.run(ctx, inp) for inp in inputs]
+
+
+def test_update_clean_units_pass(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    _, results = run_units(workloads.UpdateClean(seed=1), 3)
+    assert [r.failed for r in results] == [0, 0, 0]
+
+
+def test_update_tamper_units_pass_on_every_kind_and_frame(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    units = len(workloads.TAMPER_KINDS) * workloads.TAMPER_FRAMES
+    inputs, results = run_units(workloads.UpdateTamper(seed=1), units)
+    assert {(inp["kind"], inp["at"]) for inp in inputs} == {
+        (kind, at) for kind in workloads.TAMPER_KINDS
+        for at in range(workloads.TAMPER_FRAMES)
+    }
+    assert [r.failed for r in results] == [0] * units

@@ -332,6 +332,7 @@ class TestAttack:
     ["enroll", "--devices", "two"],
     ["analyze", "--blocks", "0"],
     ["analyze", "--trials", "0"],
+    ["analyze", "--trials", "101"],
     ["update", "--distance-cm", "1e300"],
     ["update", "--distance-cm", "1e-300"],
     ["enroll", "--seed", "-1"],

@@ -43,10 +43,6 @@ class TestCmacKnownAnswers:
         with pytest.raises(ValueError):
             mac.cmac(b"short", b"")
 
-    def test_tag_length_enforced(self):
-        with pytest.raises(ValueError):
-            mac.MacTag(b"\x00" * 15)
-
 
 class TestCmacProperties:
     @given(st.binary(min_size=0, max_size=200))
@@ -55,7 +51,7 @@ class TestCmacProperties:
         ours = mac.cmac(NIST_KEY, message)
         ref = libcmac.CMAC(algorithms.AES(NIST_KEY))
         ref.update(message)
-        assert ours.tag == ref.finalize()
+        assert ours == ref.finalize()
 
     def test_single_bit_avalanche(self):
         rng_msgs = [secrets.token_bytes(33) for _ in range(20)]
@@ -111,5 +107,5 @@ class TestPayloadCipher:
 
     def test_tag_transport_round_trip(self):
         tag = mac.cmac(NIST_KEY, b"firmware payload")
-        wire = mac.sc_encrypt(tag.tag, NIST_KEY)
-        assert mac.MacTag(mac.sc_decrypt(wire, NIST_KEY)) == tag
+        wire = mac.sc_encrypt(tag, NIST_KEY)
+        assert mac.sc_decrypt(wire, NIST_KEY) == tag

@@ -443,15 +443,14 @@ class TestBrownoutClearsTokenState:
         device = puf.synth_device(seed=11)
         record = enroll.enroll_device(device, "tok-ps")
         token = protocol.TokenSim(device, record.crp_map, session_seed=9)
-        assert token.state.sk is not None
+        assert token.state.key is not None
         token.inject_brownout()
         st = token.state
-        assert st.sk is None and st.nonce is None and st.challenge is None
-        assert st.helper is None
+        assert st.key is None and st.auth is None
         frame = encode(TagPrivilege(), rn=0x1234)
         assert token.deliver(frame) is None   # silent until the field cycles
         token.power_cycle()
-        assert token.state.sk is not None
+        assert token.state.key is not None
 
 
 class TestPinnedOutputs:

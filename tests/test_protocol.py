@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from crfidsim import enroll, fuzzy, gen2, mac, protocol, puf
+from crfidsim import bch, enroll, fuzzy, gen2, mac, protocol, puf
 
 
 @pytest.fixture(scope="module")
@@ -24,34 +24,10 @@ def fresh_token(enrolled, temperature=25.0, session_seed=1):
 IMAGE = protocol.demo_images()["boot-shim"]
 
 
-def wire_helper(auth):
-    """The 120 helper bits of an AuthReply, read MSB-first off the wire."""
-    return fuzzy.reverse_bits(int.from_bytes(auth.helper, "big"), 120)
-
-
 class TestFirmwareImage:
-    def test_assemble_places_segments(self):
-        img = protocol.FirmwareImage(segments=(
-            protocol.Segment(load_offset=0, data=b"ab"),
-            protocol.Segment(load_offset=2, data=b"cd"),
-        ))
-        assert img.assemble() == b"ab\x00\x00cd"
-        assert img.total_bytes == 6
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            protocol.FirmwareImage(segments=(
-                protocol.Segment(load_offset=0, data=b"abcd"),
-                protocol.Segment(load_offset=1, data=b"xy"),
-            ))
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            protocol.FirmwareImage(segments=())
-        with pytest.raises(ValueError):
-            protocol.Segment(load_offset=0, data=b"")
-        with pytest.raises(ValueError):
-            protocol.Segment(load_offset=-1, data=b"x")
+            protocol.FirmwareImage(b"")
 
     def test_demo_images_fixed(self):
         imgs = protocol.demo_images()
@@ -90,17 +66,17 @@ class TestTokenBoot:
         nvm = protocol.TokenNvm(crp_map=record.crp_map, firmware_update_flag=True)
         st = protocol.token_boot(dev, nvm, 25.0, boot_seed=1)
         assert st.mode is protocol.TokenMode.KEY_READY
-        assert st.nonce is not None and len(st.nonce) == 16
-        assert st.challenge is not None and 0 <= st.challenge < 256
-        assert st.sk is not None and st.sk.bits < 1 << 128
-        assert st.helper is not None
+        assert st.auth is not None and len(st.auth.nonce) == 16
+        assert 0 <= st.auth.challenge < 256
+        assert st.key is not None and len(st.key) == 16
+        assert len(st.auth.helper) == 15
 
     def test_flag_clear_boots_user_code(self, enrolled):
         dev, record, _ = enrolled
         nvm = protocol.TokenNvm(crp_map=record.crp_map)
         st = protocol.token_boot(dev, nvm, 25.0, boot_seed=1)
         assert st.mode is protocol.TokenMode.USER_CODE
-        assert st.sk is not None    # key derivation runs on every legal boot
+        assert st.key is not None    # key derivation runs on every legal boot
 
     @pytest.mark.parametrize("temp", [50.0, -5.0, 40.1])
     def test_over_temperature_halts_without_key(self, enrolled, temp):
@@ -117,8 +93,8 @@ class TestTokenBoot:
         challenges = set()
         for seed in range(20):
             st = protocol.token_boot(dev, nvm, 25.0, boot_seed=seed)
-            nonces.add(st.nonce)
-            challenges.add(st.challenge)
+            nonces.add(st.auth.nonce)
+            challenges.add(st.auth.challenge)
         assert len(nonces) == 20
         assert len(challenges) > 1
 
@@ -128,9 +104,7 @@ class TestTokenBoot:
         by_block = {}
         for seed in range(30):
             st = protocol.token_boot(dev, nvm, 25.0, boot_seed=seed)
-            by_block.setdefault(st.challenge % len(record.crp_map), set()).add(
-                st.sk.as_bytes()
-            )
+            by_block.setdefault(st.auth.challenge % len(record.crp_map), set()).add(st.key)
         keys = [k for group in by_block.values() for k in group]
         blocks = list(by_block)
         if len(blocks) > 1:
@@ -281,11 +255,7 @@ class TestEndToEnd:
         ch = protocol.Channel(token)
         auth = open_update(ch, size=IMAGE.total_bytes)
         assert isinstance(auth, protocol.AuthReply)
-        sk = fuzzy.fe_rec(
-            record.reference_for_challenge(auth.challenge),
-            fuzzy.HelperData(bits=wire_helper(auth)),
-            fuzzy.default_config(),
-        )
+        key = protocol.recover_key(record, auth)
         data = IMAGE.assemble()
         padded = data + b"\x00" * (len(data) % 2)
         words = [int.from_bytes(padded[i : i + 2], "big") for i in range(0, len(padded), 2)]
@@ -298,10 +268,9 @@ class TestEndToEnd:
         rng.shuffle(order)
         for c in order:
             assert isinstance(send(ch, c), protocol.Ack)
-        key = sk.as_bytes()
         tag = mac.mac_firmware(data, auth.nonce, key)
         reply = send(ch, gen2.SecureComm(
-            inner_wordptr=0, ciphertext=mac.sc_encrypt(tag.tag, key)))
+            inner_wordptr=0, ciphertext=mac.sc_encrypt(tag, key)))
         assert reply == protocol.Ack("commit")
         assert bytes(token.nvm.app_area[: len(data)]) == data
 
@@ -354,8 +323,6 @@ class TestTamperAndReplay:
 
     def test_tampered_helper_never_commits(self, enrolled):
         """Helper tamper aimed at an information coordinate corrupts the key."""
-        from crfidsim import bch
-
         dev, record, db = enrolled
         token = fresh_token(enrolled, session_seed=31)
         ch = protocol.Channel(token)
@@ -363,28 +330,24 @@ class TestTamperAndReplay:
         assert isinstance(auth, protocol.AuthReply)
 
         code = bch.make_code(31, 16, 3)
-        twist = bch.syndrome(1 << code.n - code.k + 1, code)
-        bits = wire_helper(auth) ^ twist    # block 0 slice of the helper
-        cfg = fuzzy.default_config()
+        # block 0 slice of the helper, bit i of the int at wire bit i
+        twist = fuzzy.reverse_bits(bch.syndrome(1 << code.n - code.k + 1, code), 120)
+        helper = (int.from_bytes(auth.helper, "big") ^ twist).to_bytes(15, "big")
         committed = False
         try:
-            sk = fuzzy.fe_rec(
-                record.reference_for_challenge(auth.challenge),
-                fuzzy.HelperData(bits=bits),
-                cfg,
-            )
+            key = protocol.recover_key(
+                record, protocol.AuthReply(auth.nonce, auth.challenge, helper))
         except fuzzy.KeyRecoveryFailure:
-            sk = None
-        if sk is not None:
+            key = None
+        if key is not None:
             data = IMAGE.assemble()
             padded = data + b"\x00" * (len(data) % 2)
             words = [int.from_bytes(padded[i:i+2], "big") for i in range(0, len(padded), 2)]
             for i in range(0, len(words), 32):
                 send(ch, gen2.BlockWrite(membank=3, wordptr=i, words=tuple(words[i:i+32])))
-            key = sk.as_bytes()
             tag = mac.mac_firmware(data, auth.nonce, key)
             reply = send(ch, gen2.SecureComm(
-                inner_wordptr=0, ciphertext=mac.sc_encrypt(tag.tag, key)))
+                inner_wordptr=0, ciphertext=mac.sc_encrypt(tag, key)))
             committed = reply == protocol.Ack("commit")
             assert reply == protocol.Nak(protocol.ErrorCode.MAC_MISMATCH)
         assert not committed
@@ -449,7 +412,7 @@ class TestBrownout:
         token = fresh_token(enrolled)
         ch = protocol.Channel(token)
         assert isinstance(open_update(ch, size=IMAGE.total_bytes), protocol.AuthReply)
-        assert token.state.sk is not None
+        assert token.state.key is not None
         token.inject_brownout()
         assert token.state.volatile_cleared()
         assert token.state.mode is protocol.TokenMode.HALTED
@@ -501,11 +464,7 @@ class TestSessionIndependence:
         token = fresh_token(enrolled, session_seed=70)
         ch = protocol.Channel(token)
         auth1 = open_update(ch, size=IMAGE.total_bytes)
-        sk1 = fuzzy.fe_rec(
-            record.reference_for_challenge(auth1.challenge),
-            fuzzy.HelperData(bits=wire_helper(auth1)),
-            fuzzy.default_config(),
-        )
+        key1 = protocol.recover_key(record, auth1)
         blocks = len(record.crp_map)
         for _ in range(40):    # land on a session with a different CRP block
             token.power_cycle()
@@ -521,12 +480,52 @@ class TestSessionIndependence:
         words = [int.from_bytes(padded[i:i+2], "big") for i in range(0, len(padded), 2)]
         for i in range(0, len(words), 32):
             send(ch2, gen2.BlockWrite(membank=3, wordptr=i, words=tuple(words[i:i+32])))
-        key1 = sk1.as_bytes()
         tag = mac.mac_firmware(data, auth2.nonce, key1)   # stale key, fresh nonce
         reply = send(ch2, gen2.SecureComm(
-            inner_wordptr=0, ciphertext=mac.sc_encrypt(tag.tag, key1)))
+            inner_wordptr=0, ciphertext=mac.sc_encrypt(tag, key1)))
         assert reply == protocol.Nak(protocol.ErrorCode.MAC_MISMATCH)
         assert bytes(token.nvm.app_area) == bytes(len(token.nvm.app_area))
+
+
+class TestKeyLinkage:
+    """One leaked session key exposes every other key of its CRP block.
+
+    Per 31-bit sub-block, a key's 16 information bits m and the helper's 15
+    syndrome bits s fix the readout the token booted with: it is
+    bch.encode(m) ^ s. The prover's own fe_rec turns that readout and any
+    other boot's public helper into that boot's key, whenever the two
+    readouts lie within t of each other in every sub-block.
+    """
+
+    def test_leaked_key_and_public_helpers_give_every_key_of_the_block(self, enrolled):
+        dev, record, _ = enrolled
+        cfg = protocol.FE_CONFIG
+        n, k = cfg.code.n, cfg.code.k
+        nvm = protocol.TokenNvm(crp_map=record.crp_map, firmware_update_flag=True)
+        by_block = {}
+        for boot_seed in range(1, 61):
+            st = protocol.token_boot(dev, nvm, 25.0, boot_seed=boot_seed)
+            key = fuzzy.reverse_bits(int.from_bytes(st.key, "big"), cfg.key_bits)
+            helper = fuzzy.reverse_bits(int.from_bytes(st.auth.helper, "big"),
+                                        cfg.helper_bits)
+            block = st.auth.challenge % len(record.crp_map)
+            by_block.setdefault(block, []).append((key, helper))
+        pairs = 0
+        for boots in by_block.values():
+            for i, (key_i, h_i) in enumerate(boots):
+                r_i = 0
+                for b in range(cfg.blocks):
+                    m = (key_i >> b * k) & ((1 << k) - 1)
+                    s = (h_i >> b * (n - k)) & ((1 << n - k) - 1)
+                    r_i |= (bch.encode(m, cfg.code) ^ s) << b * n
+                assert fuzzy.fe_gen(r_i, cfg) == (key_i, h_i)
+                for j, (key_j, h_j) in enumerate(boots):
+                    if j != i:
+                        assert fuzzy.fe_rec(r_i, h_j, cfg) == key_j
+                        pairs += 1
+        assert pairs > 0
+        # not vacuous: some block holds keys that differ
+        assert max(len({key for key, _ in boots}) for boots in by_block.values()) >= 2
 
 
 class TestWireOrderPinned:
@@ -544,10 +543,8 @@ class TestWireOrderPinned:
         assert auth.nonce.hex() == "6ef7b228d9632d9e96b3b8e95597b875"
         assert auth.challenge == 92
         assert auth.helper.hex() == "02527d55302b66611d15893886a33a"
-        assert token.state.sk.as_bytes().hex() == "b1e8298e365159c5aacb7331c793655c"
-        sk = fuzzy.fe_rec(record.reference_for_challenge(auth.challenge),
-                          fuzzy.HelperData(wire_helper(auth)), fuzzy.default_config())
-        assert sk.as_bytes() == token.state.sk.as_bytes()
+        assert token.state.key.hex() == "b1e8298e365159c5aacb7331c793655c"
+        assert protocol.recover_key(record, auth) == token.state.key
 
     def test_challenge_to_response_value(self, enrolled):
         dev, record, _ = enrolled
