@@ -184,8 +184,8 @@ class TokenNvm:
 class TokenState:
     mode: TokenMode
     nvm: TokenNvm
-    key: bytes | None = None        # this boot's AES key
-    auth: AuthReply | None = None   # what Authenticate answers on this boot
+    key: bytes | None = None        # this update boot's AES key; None otherwise
+    auth: AuthReply | None = None   # what Authenticate answers; update boots only
     pending_setup: UpdateSetup | None = None
     update: UpdateSetup | None = None
     reset_scheduled: bool = False
@@ -217,9 +217,17 @@ def token_boot(
     temperature: float,
     boot_seed: int,
 ) -> TokenState:
-    """Power-on flow: temperature gate, fresh nonce/challenge, key derivation."""
+    """Power-on flow: temperature gate, then the update flag.
+
+    A clear flag boots into user code, which never needs a session key, so
+    that boot draws no nonce, reads no PUF block and runs no fe_gen. Only an
+    update boot (flag set) derives its nonce, challenge, key and helper from
+    boot_seed.
+    """
     if not TEMP_LEGAL_MIN <= temperature <= TEMP_LEGAL_MAX:
         return TokenState(mode=TokenMode.HALTED, nvm=nvm)
+    if not nvm.firmware_update_flag:
+        return TokenState(mode=TokenMode.USER_CODE, nvm=nvm)
     nonce = puf.trng_next(device, 128, trial_seed=4 * boot_seed,
                           temperature=temperature)
     c_bits = puf.trng_next(device, 8, trial_seed=4 * boot_seed + 1,
@@ -231,9 +239,8 @@ def token_boot(
     cells = puf.readout_cells(device, temperature, 4 * boot_seed + 2, lo, hi)
     r = enroll.challenge_to_response(nvm.crp_map, challenge, cells, first_cell=lo)
     key, helper = fuzzy.fe_gen(r, FE_CONFIG)
-    mode = TokenMode.KEY_READY if nvm.firmware_update_flag else TokenMode.USER_CODE
     return TokenState(
-        mode=mode,
+        mode=TokenMode.KEY_READY,
         nvm=nvm,
         key=_to_wire(key, FE_CONFIG.key_bits),
         auth=AuthReply(nonce=np.packbits(nonce).tobytes(), challenge=challenge,

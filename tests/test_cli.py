@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crfidsim import cli, enroll, puf
 from crfidsim.layout import DEFAULT_LAYOUT
@@ -112,6 +114,21 @@ class TestEnroll:
         assert code == 3
         assert "does not cover the eligible region" in cap.err
         assert "Traceback" not in cap.err
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(
+        st.binary(max_size=300),
+        st.binary(max_size=300).map(lambda b: puf.DUMP_MAGIC + b),
+        st.binary(max_size=300).map(
+            lambda b: puf.DUMP_MAGIC + bytes([puf.DUMP_VERSION]) + b),
+    ))
+    def test_arbitrary_dump_bytes_load_or_raise_input_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "x.dump"
+        path.write_bytes(data)
+        try:
+            cli.load_device(f"dump:{path}", 0)
+        except cli.InputError:
+            pass   # any other exception fails the test
 
     def test_batch_requires_synthetic(self, capsys, tmp_path):
         path = tmp_path / "x.dump"

@@ -443,11 +443,15 @@ class TestBrownoutClearsTokenState:
         device = puf.synth_device(seed=11)
         record = enroll.enroll_device(device, "tok-ps")
         token = protocol.TokenSim(device, record.crp_map, session_seed=9)
+        frame = encode(TagPrivilege(), rn=0x1234)
+        # the privilege frame resets the token into an update boot, the only
+        # boot that derives a key
+        assert token.deliver(frame) == protocol.Ack("privilege")
+        assert token.state.mode is protocol.TokenMode.KEY_READY
         assert token.state.key is not None
         token.inject_brownout()
         st = token.state
         assert st.key is None and st.auth is None
-        frame = encode(TagPrivilege(), rn=0x1234)
         assert token.deliver(frame) is None   # silent until the field cycles
         token.power_cycle()
         assert token.state.key is not None

@@ -76,7 +76,56 @@ class TestTokenBoot:
         nvm = protocol.TokenNvm(crp_map=record.crp_map)
         st = protocol.token_boot(dev, nvm, 25.0, boot_seed=1)
         assert st.mode is protocol.TokenMode.USER_CODE
-        assert st.key is not None    # key derivation runs on every legal boot
+        assert st.key is None and st.auth is None
+        assert st.volatile_cleared()
+
+    def test_user_code_boot_does_no_key_work(self, enrolled, monkeypatch):
+        _, _, db = enrolled
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("key work on a user-code boot")
+
+        def forbid_key_work():
+            for module, name in ((puf, "trng_next"), (puf, "readout_cells"),
+                                 (fuzzy, "fe_gen")):
+                monkeypatch.setattr(module, name, forbidden)
+
+        class ForbidAfterTag(protocol.Channel):
+            """Forbids key work from the tag frame on, so the reboot after
+            the commit runs without it."""
+
+            def send(self, frame):
+                if isinstance(gen2.decode(frame), gen2.SecureComm):
+                    forbid_key_work()
+                return super().send(frame)
+
+        token = fresh_token(enrolled, session_seed=4)
+        out = protocol.prover_update(db, 11, IMAGE, ForbidAfterTag(token))
+        assert out is protocol.UpdateOutcome.COMMITTED
+        assert token.boot_count == 3
+        assert token.state.mode is protocol.TokenMode.USER_CODE
+        assert token.state.volatile_cleared()
+
+        fresh = fresh_token(enrolled, session_seed=5)
+        assert fresh.boot_count == 1
+        assert fresh.state.mode is protocol.TokenMode.USER_CODE
+        fresh.power_cycle()
+        assert fresh.boot_count == 2
+
+    @pytest.mark.parametrize("session_seed", [2, 7])
+    def test_sim_update_boot_equals_token_boot(self, enrolled, session_seed):
+        dev, record, _ = enrolled
+        token = fresh_token(enrolled, session_seed=session_seed)
+        token.deliver(gen2.encode(gen2.TagPrivilege(), rn=1))
+        assert token.boot_count == 2
+        nvm = protocol.TokenNvm(crp_map=record.crp_map, firmware_update_flag=True)
+        st = protocol.token_boot(dev, nvm, 25.0, boot_seed=session_seed * 100_000 + 2)
+        sim = token.state
+        assert sim.mode is st.mode is protocol.TokenMode.KEY_READY
+        assert sim.key == st.key
+        assert sim.auth.nonce == st.auth.nonce
+        assert sim.auth.challenge == st.auth.challenge
+        assert sim.auth.helper == st.auth.helper
 
     @pytest.mark.parametrize("temp", [50.0, -5.0, 40.1])
     def test_over_temperature_halts_without_key(self, enrolled, temp):
