@@ -85,18 +85,15 @@ class TestTokenBoot:
         def forbidden(*args, **kwargs):
             raise AssertionError("key work on a user-code boot")
 
-        def forbid_key_work():
-            for module, name in ((puf, "trng_next"), (puf, "readout_cells"),
-                                 (fuzzy, "fe_gen")):
-                monkeypatch.setattr(module, name, forbidden)
-
         class ForbidAfterTag(protocol.Channel):
             """Forbids key work from the tag frame on, so the reboot after
             the commit runs without it."""
 
             def send(self, frame):
                 if isinstance(gen2.decode(frame), gen2.SecureComm):
-                    forbid_key_work()
+                    for module, name in ((puf, "trng_next"), (puf, "readout_cells"),
+                                         (fuzzy, "fe_gen")):
+                        monkeypatch.setattr(module, name, forbidden)
                 return super().send(frame)
 
         token = fresh_token(enrolled, session_seed=4)
