@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -56,6 +57,13 @@ def load_device(source: str, seed: int) -> puf.PufDevice:
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot load dump {path!r}: {exc}") from exc
     raise InputError(f"unknown device source {source!r} (synthetic or dump:<path>)")
+
+
+def enroll_checked(device: puf.PufDevice, device_id: str) -> enroll.EnrollmentRecord:
+    try:
+        return enroll.enroll_device(device, device_id)
+    except enroll.InsufficientMaterialError as exc:
+        raise InputError(f"{device_id}: {exc}") from exc
 
 
 def load_image(name: str) -> protocol.FirmwareImage:
@@ -135,10 +143,6 @@ def tamper_rule(text: str) -> tuple[str, int | None]:
             f"bad index in tamper rule {text!r}") from None
 
 
-def fe_config_from(args: argparse.Namespace) -> fuzzy.FeConfig:
-    return fuzzy.FeConfig(code=args.code, blocks=args.blocks)
-
-
 def out_dir(args: argparse.Namespace) -> Path | None:
     if args.out is None:
         return None
@@ -177,10 +181,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         seed = args.seed + i
         device = load_device(args.device, seed)
         device_id = f"dev-{seed:04d}"
-        try:
-            record = enroll.enroll_device(device, device_id)
-        except enroll.InsufficientMaterialError as exc:
-            raise InputError(f"{device_id}: {exc}") from exc
+        record = enroll_checked(device, device_id)
         blocks = len(record.crp_map)
         eff = 100.0 * enroll.efficiency(record.crp_map)
         lines.append(f"{device_id}\t{blocks}\t{blocks * 248}\t{eff:.3g}")
@@ -193,11 +194,6 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- update
 
-def chunk_frame_count(image: protocol.FirmwareImage) -> int:
-    words = math.ceil(image.total_bytes / 2)
-    return math.ceil(words / CHUNK_WORDS)
-
-
 def parse_tamper(rule: tuple[str, int | None],
                  image: protocol.FirmwareImage) -> TamperPolicy:
     """The channel policy of a (policy, index) rule as split by tamper_rule.
@@ -206,7 +202,8 @@ def parse_tamper(rule: tuple[str, int | None],
     drop:<frame> drops the frame at that delivery index.
     """
     kind, idx = rule
-    last = 3 + chunk_frame_count(image)   # privilege, setup, auth, chunks...
+    chunks = math.ceil(image.total_bytes / (2 * CHUNK_WORDS))
+    last = 3 + chunks   # privilege, setup, auth, chunks...
     if idx is None:
         if kind == "none":
             return TamperPolicy()
@@ -214,7 +211,7 @@ def parse_tamper(rule: tuple[str, int | None],
             return TamperPolicy(mutations=frozenset({last}))
         raise InputError(f"unknown tamper policy {kind!r}")
     if kind == "chunk":
-        if not 0 <= idx < chunk_frame_count(image):
+        if not 0 <= idx < chunks:
             raise InputError(f"chunk index out of range in 'chunk:{idx}'")
         return TamperPolicy(mutations=frozenset({3 + idx}))
     if not 0 <= idx <= last:
@@ -222,62 +219,33 @@ def parse_tamper(rule: tuple[str, int | None],
     return TamperPolicy(drops=frozenset({idx}))
 
 
-def run_powered_update(
-    db: protocol.ProverDb,
-    token_id: str,
-    image: protocol.FirmwareImage,
-    channel: protocol.Channel,
-    power: tuple[float, float, int] | None,
-    trial: int,
-) -> tuple[UpdateOutcome, float | None]:
-    """Gate each update attempt on a harvested-power session."""
-    if power is None:
-        return protocol.prover_update(db, token_id, image, channel), None
-    distance, sleep_ms, seed = power
-    extra = powersim.update_ops(image.total_bytes, chunk_frame_count(image))
-    latency = math.inf
-    for attempt in range(protocol.MAX_ATTEMPTS):
-        session = powersim.cold_start_session(
-            distance, sleep_ms, seed, trial=trial * protocol.MAX_ATTEMPTS + attempt,
-            extra_ops=extra,
-        )
-        latency = session.latency_ms
-        if session.success:
-            return protocol.prover_update(db, token_id, image, channel), latency
-        channel.token.inject_brownout()
-        channel.reset_token()
-    return UpdateOutcome.BROWNOUT_ABORTED, latency
-
-
 def cmd_update(args: argparse.Namespace) -> int:
     dest = out_dir(args)
     device = load_device(args.device, args.seed)
     token_id = f"dev-{args.seed:04d}"
-    try:
-        record = enroll.enroll_device(device, token_id)
-    except enroll.InsufficientMaterialError as exc:
-        raise InputError(str(exc)) from exc
+    record = enroll_checked(device, token_id)
     db = protocol.ProverDb()
     db.add(record)
     image = load_image(args.image)
     policy = parse_tamper(args.tamper, image)
-    power = None
-    if args.distance_cm is not None:
-        power = (args.distance_cm, args.sleep_ms, args.seed)
 
     lines = ["# update", "trial\toutcome\tframes\tlatency_ms"]
     committed = 0
     exit_code = EXIT_OK
     for trial in range(args.trials):
+        harvest = None
+        if args.distance_cm is not None:
+            harvest = powersim.Harvest(args.distance_cm, args.sleep_ms,
+                                       powersim.draw_kappa(args.seed, trial))
         token = protocol.TokenSim(
-            device, record.crp_map, session_seed=args.seed * 1000 + trial
+            device, record.crp_map, session_seed=args.seed * 1000 + trial,
+            harvest=harvest,
         )
         channel = protocol.Channel(token, policy)
-        outcome, latency = run_powered_update(
-            db, token_id, image, channel, power, trial
-        )
+        outcome = protocol.prover_update(db, token_id, image, channel)
         committed += outcome is UpdateOutcome.COMMITTED
-        shown = "-" if latency is None else f"{latency:.3f}"
+        # a powered token's own clock: each charge, boot and frame of all attempts
+        shown = "-" if token.energy is None else f"{token.energy.time_ms:.3f}"
         lines.append(f"{trial}\t{outcome.name}\t{len(channel.frames)}\t{shown}")
         exit_code = OUTCOME_EXIT[outcome]
         if dest is not None:
@@ -293,11 +261,8 @@ def cmd_update(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     dest = out_dir(args)
     device = load_device(args.device, args.seed)
-    try:
-        record = enroll.enroll_device(device, f"dev-{args.seed:04d}")
-    except enroll.InsufficientMaterialError as exc:
-        raise InputError(str(exc)) from exc
-    cfg = fe_config_from(args)
+    record = enroll_checked(device, f"dev-{args.seed:04d}")
+    cfg = fuzzy.FeConfig(code=args.code, blocks=args.blocks)
     base = 9_000_000 + args.seed * 10_000
 
     lines = ["# ber_vs_temperature", "temperature_c\traw_ber\tpipeline_ber"]
@@ -351,8 +316,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
             f"coset enumeration needs a toy code, not ({code.n},{code.k},{code.t})"
         )
     cfg = fuzzy.FeConfig(code=code, blocks=1)
-    import random
-
     rng = random.Random(args.seed)
     response = sum(rng.randrange(2) << i for i in range(cfg.response_bits))
     _, helper = fuzzy.fe_gen(response, cfg)

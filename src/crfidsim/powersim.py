@@ -48,6 +48,8 @@ TEMP_CHECK_CYCLES = 734
 FE_GEN_CYCLES = 109_234
 MAC_CYCLES_PER_240_BYTES = 22_197
 FRAME_CYCLES = 400
+FE_GEN_SUBTASKS = 8          # key derivation checkpoints
+MAC_OPS_PER_SUBTASK = 32     # AES blocks of the tag check per subtask
 
 
 def mac_cost(message_bytes: int) -> int:
@@ -75,10 +77,6 @@ def draw_kappa(seed: int, trial: int) -> float:
     """Per-session harvest coefficient; paired across settings by (seed, trial)."""
     rng = np.random.default_rng([seed, trial])
     return KAPPA_MEDIAN * math.exp(KAPPA_SIGMA * rng.standard_normal())
-
-
-FE_GEN_SUBTASKS = 8          # key derivation checkpoints
-MAC_OPS_PER_SUBTASK = 32     # AES blocks of the tag check per subtask
 
 
 def split_subtasks(total_cycles: int, parts: int) -> tuple[int, ...]:
@@ -197,27 +195,32 @@ class PlanOp:
     subtasks: int = 1
 
 
-# Cold start: temperature gate, entropy, readout, key derivation, reply.
-BOOT_OPS = (
-    PlanOp("temp-check", TEMP_CHECK_CYCLES),
-    PlanOp("trng", TRNG_CYCLES),
-    PlanOp("puf-readout", PUF_READOUT_CYCLES),
-    PlanOp("fe-gen", FE_GEN_CYCLES, FE_GEN_SUBTASKS),
-    PlanOp("reply", FRAME_CYCLES),
-)
+# The one table of op costs: protocol.TokenSim charges these for the work
+# it does, and a cold start runs BOOT_OPS.
+TEMP_CHECK = PlanOp("temp-check", TEMP_CHECK_CYCLES)
+TRNG = PlanOp("trng", TRNG_CYCLES)
+PUF_READOUT = PlanOp("puf-readout", PUF_READOUT_CYCLES)
+FE_GEN = PlanOp("fe-gen", FE_GEN_CYCLES, FE_GEN_SUBTASKS)
+FRAME = PlanOp("frame", FRAME_CYCLES)
+UPDATE_BOOT_OPS = (TEMP_CHECK, TRNG, PUF_READOUT, FE_GEN)
+
+# Cold start: an update boot, then its first reply.
+BOOT_OPS = UPDATE_BOOT_OPS + (PlanOp("reply", FRAME_CYCLES),)
 
 
-def update_ops(image_bytes: int, chunk_frames: int) -> tuple[PlanOp, ...]:
-    """Post-boot transfer work: frame handling plus the firmware tag check."""
-    mac_cycles = mac_cost(image_bytes + 16)
-    aes_blocks = max(1, math.ceil((image_bytes + 16) / 16))
-    mac_subtasks = max(1, math.ceil(aes_blocks / MAC_OPS_PER_SUBTASK))
-    ops = [PlanOp("setup-frame", FRAME_CYCLES),
-           PlanOp("auth-frame", FRAME_CYCLES)]
-    ops += [PlanOp(f"chunk-{i}", FRAME_CYCLES) for i in range(chunk_frames)]
-    ops.append(PlanOp("mac", mac_cycles, mac_subtasks))
-    ops.append(PlanOp("commit", FRAME_CYCLES))
-    return tuple(ops)
+def mac_op(message_bytes: int) -> PlanOp:
+    """The tag check over message_bytes, MAC_OPS_PER_SUBTASK AES blocks a subtask."""
+    subtasks = math.ceil(message_bytes / (16 * MAC_OPS_PER_SUBTASK))
+    return PlanOp("mac", mac_cost(message_bytes), subtasks)
+
+
+@dataclass(frozen=True)
+class Harvest:
+    """A powered token's supply: reader distance, checkpoint sleep, kappa."""
+
+    distance_cm: float
+    sleep_ms: float
+    kappa: float
 
 
 def _check_sleep(sleep_ms: float) -> None:
@@ -271,7 +274,6 @@ def cold_start_session(
     trial: int = 0,
     kappa: float | None = None,
     trace: Trace | None = None,
-    extra_ops: Sequence[PlanOp] = (),
 ) -> RunResult:
     """Charge from empty, boot at 2.0 V, derive the key, send the first reply.
 
@@ -284,7 +286,7 @@ def cold_start_session(
         return RunResult(False, math.inf, state, failed_op="charge")
     state = charge(state, t_charge)
     _note(trace, state, "boot")
-    res = run_ops(BOOT_OPS + tuple(extra_ops), sleep_ms, state, trace)
+    res = run_ops(BOOT_OPS, sleep_ms, state, trace)
     return replace(res, latency_ms=res.state.time_ms)
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import enroll, fuzzy, gen2, mac, puf
+from . import enroll, fuzzy, gen2, mac, powersim, puf
 from .layout import DEFAULT_LAYOUT
 
 # 8 x BCH(31,16,3): the only split of the 248-bit CRP block into a 128-bit
@@ -351,7 +351,13 @@ def token_handle(state: TokenState, frame: gen2.Gen2Frame) -> tuple[TokenState, 
 # ------------------------------------------------------------- simulation
 
 class TokenSim:
-    """One simulated token: device, NVM, auto power-on reset handling."""
+    """One simulated token: device, NVM, auto power-on reset handling.
+
+    Without a harvest, energy is None and unlimited. With one, every boot
+    charges the capacitor to V_BOOT, the boot's work and every frame run
+    through powersim.run_ops, and a brownout wipes the volatile state at
+    the op where it occurs; energy.time_ms is the token's own clock.
+    """
 
     def __init__(
         self,
@@ -359,27 +365,52 @@ class TokenSim:
         crp_map: enroll.CrpBlockMap,
         temperature: float = 25.0,
         session_seed: int = 0,
+        harvest: powersim.Harvest | None = None,
     ) -> None:
         self.device = device
         self.nvm = TokenNvm(crp_map=crp_map)
         self.temperature = temperature
         self.session_seed = session_seed
+        self.harvest = harvest
+        self.energy = None if harvest is None else powersim.EnergyState(
+            v_cap=0.0, distance_cm=harvest.distance_cm, kappa=harvest.kappa)
         self.boot_count = 0
-        self.brownout_pending = False
-        self.state = self._boot()
+        self.power_cycle()
 
-    def _boot(self) -> TokenState:
+    def _run(self, ops: tuple[powersim.PlanOp, ...]) -> bool:
+        """Charge ops to the capacitor; False after a brownout."""
+        res = powersim.run_ops(ops, self.harvest.sleep_ms, self.energy)
+        self.energy = res.state
+        if not res.success:
+            self.inject_brownout()
+        return res.success
+
+    def _frame_ops(self, frame: gen2.Gen2Frame) -> tuple[powersim.PlanOp, ...]:
+        """A frame's handling, plus the tag check of a SecureComm in an update."""
+        setup = self.state.update
+        if setup is not None:
+            try:
+                if isinstance(gen2.decode(frame), gen2.SecureComm):
+                    return (powersim.FRAME, powersim.mac_op(setup.size + 16))
+            except ValueError:   # token_handle ignores or rejects the frame
+                pass
+        return (powersim.FRAME,)
+
+    def power_cycle(self) -> None:
+        self.brownout_pending = False
         self.boot_count += 1
-        return token_boot(
+        self.state = token_boot(
             self.device,
             self.nvm,
             self.temperature,
             boot_seed=self.session_seed * 100_000 + self.boot_count,
         )
-
-    def power_cycle(self) -> None:
-        self.brownout_pending = False
-        self.state = self._boot()
+        if self.energy is not None:
+            wait = powersim.time_to_voltage(self.energy, powersim.V_BOOT)
+            self.energy = powersim.charge(self.energy, wait)
+            booted_for_update = self.state.mode is TokenMode.KEY_READY
+            self._run(powersim.UPDATE_BOOT_OPS if booted_for_update
+                      else (powersim.TEMP_CHECK,))
 
     def inject_brownout(self) -> None:
         """Supply dipped below the operating threshold mid-session."""
@@ -390,6 +421,8 @@ class TokenSim:
 
     def deliver(self, frame: gen2.Gen2Frame) -> Reply:
         if self.brownout_pending:
+            return None
+        if self.energy is not None and not self._run(self._frame_ops(frame)):
             return None
         self.state, reply = token_handle(self.state, frame)
         if self.state.reset_scheduled:

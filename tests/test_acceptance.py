@@ -209,8 +209,7 @@ class _FuzzChannel(protocol.Channel):
         hit = self.counter == self.at
         if hit and self.kind == "brownout":
             self.token.inject_brownout()
-            st = self.token.state
-            self.volatility_violations += not (st.key is None and st.auth is None)
+            self.volatility_violations += not self.token.state.volatile_cleared()
         reply = super().send(frame)
         if hit and self.kind == "replay":
             reply = super().send(frame)
@@ -296,8 +295,7 @@ def test_criterion_07_and_10_tamper_fuzzing(capsys, rig):
         for frame in recorded[:3]:           # privilege, setup, authenticate
             channel.send(frame)
         token.inject_brownout()
-        st = token.state
-        if not (st.key is None and st.auth is None):
+        if not token.state.volatile_cleared():
             volatility_violations += 1
         if token.deliver(recorded[3]) is not None:   # silent until field cycle
             volatility_violations += 1

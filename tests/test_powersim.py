@@ -2,14 +2,15 @@
 
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crfidsim import powersim as ps
-from crfidsim import enroll, protocol, puf
-from crfidsim.gen2 import TagPrivilege, encode
+from crfidsim import enroll, gen2, protocol, puf
+from crfidsim.gen2 import BlockWrite, TagPrivilege, encode
 
 
 def state_at(v, distance=40.0, kappa=16.0):
@@ -304,23 +305,6 @@ class TestColdStart:
         float(t), float(v)
         assert event
 
-    def test_extra_ops_extend_the_session(self):
-        heavy = (ps.PlanOp("transfer", 5_000_000),)
-        res = ps.cold_start_session(40.0, 0, seed=1, kappa=20.0, extra_ops=heavy)
-        assert not res.success
-        assert res.failed_op == "transfer"
-
-    def test_update_ops_cover_transfer_and_mac(self):
-        ops = ps.update_ops(image_bytes=399, chunk_frames=7)
-        names = [op.name for op in ops]
-        assert names[0] == "setup-frame"
-        assert names[-1] == "commit"
-        assert sum(n.startswith("chunk-") for n in names) == 7
-        mac_op = next(op for op in ops if op.name == "mac")
-        assert mac_op.cycles == ps.mac_cost(399 + 16)
-        # 415 bytes pad to 26 AES blocks, under one 32-block subtask
-        assert mac_op.subtasks == 1
-
     def test_model_validation(self):
         with pytest.raises(ValueError):
             state_at(2.0, distance=0.0).rate
@@ -470,35 +454,23 @@ class TestPinnedOutputs:
         for (distance, sleep), rate in self.GRID.items():
             assert ps.success_rate(distance, sleep, trials=40, seed=2024) == rate
 
-    # (distance, sleep, seed, trial, with update ops) ->
+    # (distance, sleep, seed, trial) ->
     # (success, latency_ms, failed_op, end v_cap, end cycles_consumed)
     SESSIONS = [
-        ((20.0, 10, 1, 0, False),
+        ((20.0, 10, 1, 0),
          (True, 146.2417588844369, None, 2.936837287919067, 111358)),
-        ((40.0, 0, 2024, 3, False),
+        ((40.0, 0, 2024, 3),
          (False, 520.8629758136041, "fe-gen", 1.8, 66551)),
-        ((40.0, 30, 2024, 3, False),
+        ((40.0, 30, 2024, 3),
          (True, 856.4638010491904, None, 2.248135612833776, 111358)),
-        ((60.0, 20, 7, 5, False),
+        ((60.0, 20, 7, 5),
          (True, 450.1299259170455, None, 2.464678650912931, 111358)),
-        ((30.0, 20, 2024, 1, True),
-         (True, 623.0441734763899, None, 2.7937931437569645, 153740)),
-        ((40.0, 10, 2024, 2, True),
-         (True, 316.10870843751246, None, 2.818810917027315, 153740)),
-        ((30.0, 0, 2024, 6, True),
-         (False, 98.37715124274447, "mac", 1.8, 140423)),
-        ((40.0, 0, 2024, 13, True),
-         (False, 113.64234431737142, "chunk-0", 1.8, 112378)),
-        ((50.0, 0, 2024, 36, True),
-         (False, 114.0896006223343, "auth-frame", 1.8, 111890)),
     ]
 
     @pytest.mark.parametrize("setting,expected", SESSIONS)
     def test_cold_start_session(self, setting, expected):
-        distance, sleep, seed, trial, with_update = setting
-        extra = ps.update_ops(image_bytes=399, chunk_frames=7) if with_update else ()
-        res = ps.cold_start_session(distance, sleep, seed, trial=trial,
-                                    extra_ops=extra)
+        distance, sleep, seed, trial = setting
+        res = ps.cold_start_session(distance, sleep, seed, trial=trial)
         got = (res.success, res.latency_ms, res.failed_op,
                res.state.v_cap, res.state.cycles_consumed)
         assert got == expected
@@ -511,15 +483,147 @@ class TestPinnedOutputs:
         assert res.state.v_cap == 0.0 and res.state.cycles_consumed == 0
 
     @pytest.mark.parametrize("setting,events,digest", [
-        ((40.0, 10, 2024, 2), 46, "22f2f5d92f000b96"),
-        ((30.0, 0, 2024, 6), 23, "ac1809918b5e2563"),
+        ((40.0, 10, 2024, 2), 24, "bd0d1bbfd263be3c"),
+        ((40.0, 0, 2024, 3), 9, "266a37423c14da39"),
     ])
     def test_trace(self, setting, events, digest):
         distance, sleep, seed, trial = setting
         trace = []
-        ps.cold_start_session(distance, sleep, seed, trial=trial, trace=trace,
-                              extra_ops=ps.update_ops(image_bytes=399,
-                                                      chunk_frames=7))
+        ps.cold_start_session(distance, sleep, seed, trial=trial, trace=trace)
         text = ps.trace_to_tsv(trace)
         assert len(trace) == events
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.fixture(scope="module")
+def rig():
+    device = puf.synth_device(seed=11)
+    record = enroll.enroll_device(device, "tok-pw")
+    db = protocol.ProverDb()
+    db.add(record)
+    return device, record, db
+
+
+def powered_session(rig, image, harvest, session_seed=3, channel_cls=protocol.Channel):
+    device, record, db = rig
+    token = protocol.TokenSim(device, record.crp_map, session_seed=session_seed,
+                              harvest=harvest)
+    channel = channel_cls(token)
+    return protocol.prover_update(db, "tok-pw", image, channel), token, channel
+
+
+def image_of(size, seed=5):
+    return protocol.FirmwareImage(random.Random(seed).randbytes(size))
+
+
+class TestPoweredToken:
+    """A TokenSim with a harvest charges the work it actually does."""
+
+    @pytest.mark.parametrize("image", ["boot-shim", "blinky"])
+    @pytest.mark.parametrize("drops", [(), (4,)])
+    def test_unbounded_harvest_matches_unpowered(self, rig, image, drops):
+        img = protocol.demo_images()[image]
+        policy = protocol.TamperPolicy(drops=frozenset(drops))
+        for seed in range(4):
+            runs = []
+            for harvest in (None, ps.Harvest(1e-160, 30, 16.0)):
+                out, _, channel = powered_session(
+                    rig, img, harvest, session_seed=seed,
+                    channel_cls=lambda token: protocol.Channel(token, policy))
+                runs.append((out, [f.to_hex() for f in channel.frames]))
+            assert runs[0] == runs[1]
+
+    def test_unpowered_token_charges_nothing(self, rig, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("energy work on an unpowered token")
+
+        for name in ("run_ops", "charge", "time_to_voltage"):
+            monkeypatch.setattr(ps, name, forbidden)
+        decodes = []
+        decode = gen2.decode
+        monkeypatch.setattr(gen2, "decode", lambda f: decodes.append(f) or decode(f))
+        out, token, channel = powered_session(
+            rig, protocol.demo_images()["blinky"], None)
+        assert out is protocol.UpdateOutcome.COMMITTED
+        assert token.energy is None
+        assert len(decodes) == len(channel.frames)   # token_handle's own decode
+
+    @pytest.mark.parametrize("image", ["boot-shim", "blinky"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cycles_are_the_work_the_token_did(self, rig, image, seed):
+        img = protocol.demo_images()[image]
+        out, token, channel = powered_session(
+            rig, img, ps.Harvest(20.0, 10, ps.draw_kappa(seed, 0)), session_seed=seed)
+        assert out is protocol.UpdateOutcome.COMMITTED
+        # user-code boot, update boot after the privilege frame, user-code
+        # boot after the commit
+        assert token.boot_count == 3
+        boots = 2 * ps.TEMP_CHECK_CYCLES + sum(op.cycles for op in ps.UPDATE_BOOT_OPS)
+        frames = len(channel.frames) * ps.FRAME_CYCLES
+        assert len(channel.frames) == 4 + math.ceil(img.total_bytes / 64)
+        tag = ps.mac_cost(img.total_bytes + 16)
+        assert token.energy.cycles_consumed == boots + frames + tag
+        assert token.energy.time_ms >= token.energy.cycles_consumed / ps.CYCLES_PER_MS
+
+    def test_brownouts_in_every_phase_keep_the_invariants(self, rig, monkeypatch):
+        failed_ops = []
+        run_ops = ps.run_ops
+
+        def recording(ops, sleep_ms, state, trace=None):
+            res = run_ops(ops, sleep_ms, state, trace)
+            if not res.success:
+                failed_ops.append(res.failed_op)
+            return res
+
+        monkeypatch.setattr(ps, "run_ops", recording)
+        where = set()
+        violations = []
+
+        class Watched(protocol.Channel):
+            def send(self, frame):
+                seen = len(failed_ops)
+                reply = super().send(frame)
+                if len(failed_ops) > seen:
+                    view = gen2.decode(frame)
+                    chunk = isinstance(view, BlockWrite) and view.membank == 3
+                    op = failed_ops[-1]
+                    where.add("chunk" if op == "frame" and chunk else op)
+                self.check()
+                return reply
+
+            def reset_token(self):
+                seen = len(failed_ops)
+                super().reset_token()
+                where.update(failed_ops[seen:])
+                self.check()
+
+            def check(self):
+                if self.token.brownout_pending and not self.token.state.volatile_cleared():
+                    violations.append(self.token.boot_count)
+
+        img = image_of(2048)
+        expected_app = img.assemble() + bytes(8192 - img.total_bytes)
+        outcomes = set()
+        for distance in (40.0, 50.0):
+            for sleep in (0, 10):
+                for i in range(12):
+                    harvest = ps.Harvest(distance, sleep, 4.0 * 1.25**i)
+                    out, token, _ = powered_session(rig, img, harvest,
+                                                    channel_cls=Watched)
+                    outcomes.add(out)
+                    app = bytes(token.nvm.app_area)
+                    assert app in (bytes(8192), expected_app)
+                    if out is protocol.UpdateOutcome.COMMITTED:
+                        assert app == expected_app
+        assert {"fe-gen", "chunk", "mac"} <= where
+        assert violations == []
+        assert outcomes == {protocol.UpdateOutcome.COMMITTED,
+                            protocol.UpdateOutcome.BROWNOUT_ABORTED}
+
+    def test_rejected_oversized_image_costs_less_than_a_commit(self, rig):
+        harvest = ps.Harvest(20.0, 0, ps.draw_kappa(0, 0))
+        rejected, small, _ = powered_session(rig, image_of(9000), harvest)
+        committed, big, _ = powered_session(rig, image_of(8192), harvest)
+        assert rejected is protocol.UpdateOutcome.REJECTED_BY_TOKEN
+        assert committed is protocol.UpdateOutcome.COMMITTED
+        assert small.energy.time_ms < big.energy.time_ms
