@@ -143,6 +143,13 @@ def tamper_rule(text: str) -> tuple[str, int | None]:
             f"bad index in tamper rule {text!r}") from None
 
 
+def out_path(text: str) -> str:
+    """An --out directory; an empty path would mean the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a directory")
+    return text
+
+
 def out_dir(args: argparse.Namespace) -> Path | None:
     if args.out is None:
         return None
@@ -184,7 +191,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
         record = enroll_checked(device, device_id)
         blocks = len(record.crp_map)
         eff = 100.0 * enroll.efficiency(record.crp_map)
-        lines.append(f"{device_id}\t{blocks}\t{blocks * 248}\t{eff:.3g}")
+        lines.append(f"{device_id}\t{blocks}\t{blocks * enroll.BLOCK_BITS}\t{eff:.3g}")
         if dest is not None:
             write_out(dest / f"{device_id}.record.txt",
                       enroll.record_to_text(record))
@@ -355,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--device", default="synthetic",
                        help="synthetic or dump:<path>")
-        p.add_argument("--out", default=None, help="directory for output files")
+        p.add_argument("--out", type=out_path, default=None,
+                       help="directory for output files")
 
     p_enroll = sub.add_parser("enroll", help="build challenge maps and report "
                                              "extraction efficiency")

@@ -46,37 +46,13 @@ class InsufficientMaterialError(ValueError):
 
 
 @dataclass(frozen=True)
-class StableByteMask:
-    addresses: tuple[int, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.addresses) != len(self.values):
-            raise ValueError("addresses and values must align")
-        if any(a >= b for a, b in zip(self.addresses, self.addresses[1:])):
-            raise ValueError("addresses must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.addresses)
-
-
-@dataclass(frozen=True)
-class CrpBlock:
-    start_address: int
-    offsets: tuple[int, ...]
-
-    def addresses(self) -> tuple[int, ...]:
-        return tuple(self.start_address + o for o in self.offsets)
-
-
-@dataclass(frozen=True)
 class CrpBlockMap:
-    blocks: tuple[CrpBlock, ...]
+    blocks: tuple[tuple[int, ...], ...]    # each block's ascending byte addresses
 
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_for_challenge(self, c: int) -> CrpBlock:
+    def block_for_challenge(self, c: int) -> tuple[int, ...]:
         return self.blocks[c % len(self.blocks)]
 
 
@@ -90,12 +66,12 @@ class EnrollmentRecord:
         return self.references[c % len(self.crp_map)]
 
 
-def pre_select(corner: np.ndarray, nominal: np.ndarray) -> StableByteMask:
+def pre_select(corner: np.ndarray, nominal: np.ndarray) -> dict[int, int]:
     """Keep bytes that are bit-stable at every corner; majority-vote values.
 
     Both arguments hold eligible-region readouts of shape (reads,
     ELIGIBLE_BYTES, 8). A per-bit tie in the nominal vote discards the
-    whole byte.
+    whole byte. Returns address -> value in ascending address order.
     """
     stable = (corner == corner[0]).all(axis=(0, 2))
 
@@ -109,39 +85,27 @@ def pre_select(corner: np.ndarray, nominal: np.ndarray) -> StableByteMask:
     idx = np.flatnonzero(keep)
     weights = 1 << np.arange(8)  # LSB-first bit order within a byte
     values = (majority[idx] * weights).sum(axis=1)
-    return StableByteMask(
-        addresses=tuple(int(ELIGIBLE_START + i) for i in idx),
-        values=tuple(int(v) for v in values),
-    )
+    return dict(zip((ELIGIBLE_START + idx).tolist(), values.tolist()))
 
 
-def debias(mask: StableByteMask) -> StableByteMask:
+def debias(stable: dict[int, int]) -> dict[int, int]:
     """Retain bytes whose reference value is Hamming-weight balanced (4 of 8)."""
-    if len(mask) == 0:
-        raise InsufficientMaterialError("empty input mask")
-    kept = [
-        (a, v) for a, v in zip(mask.addresses, mask.values)
-        if bin(v).count("1") == 4
-    ]
+    kept = {a: v for a, v in stable.items() if v.bit_count() == 4}
     if not kept:
         raise InsufficientMaterialError("no byte survived de-biasing")
-    addresses, values = zip(*kept)
-    return StableByteMask(addresses=addresses, values=values)
+    return kept
 
 
-def build_map(mask: StableByteMask) -> CrpBlockMap:
-    """Greedily pack consecutive winnowed bytes into fixed-size blocks."""
-    if len(mask) < BLOCK_BYTES:
+def build_map(addresses: Sequence[int]) -> CrpBlockMap:
+    """Greedily pack consecutive winnowed addresses into fixed-size blocks."""
+    if len(addresses) < BLOCK_BYTES:
         raise InsufficientMaterialError(
-            f"inadequate key material: {len(mask)} bytes < one {BLOCK_BYTES}-byte block"
+            f"inadequate key material: {len(addresses)} bytes < one {BLOCK_BYTES}-byte block"
         )
-    blocks = []
-    for i in range(len(mask) // BLOCK_BYTES):
-        chunk = mask.addresses[i * BLOCK_BYTES : (i + 1) * BLOCK_BYTES]
-        start = chunk[0]
-        blocks.append(CrpBlock(start_address=start,
-                               offsets=tuple(a - start for a in chunk)))
-    return CrpBlockMap(blocks=tuple(blocks))
+    return CrpBlockMap(blocks=tuple(
+        tuple(addresses[i * BLOCK_BYTES : (i + 1) * BLOCK_BYTES])
+        for i in range(len(addresses) // BLOCK_BYTES)
+    ))
 
 
 def efficiency(crp_map: CrpBlockMap) -> float:
@@ -154,25 +118,22 @@ def challenge_to_response(
 ) -> int:
     """Resolve a challenge to its block's 248 response bits.
 
-    The block index is c modulo the block count; bytes are read in offset
+    The block index is c modulo the block count; bytes are read in address
     order, bits LSB-first within each byte. readout_bits holds the cells
     from first_cell on, so a partial readout of the block's span will do.
     """
     block = crp_map.block_for_challenge(c)
-    cells = (8 * np.array(block.addresses())[:, None] + np.arange(8)).ravel() - first_cell
+    cells = (8 * np.array(block)[:, None] + np.arange(8)).ravel() - first_cell
     bits = np.asarray(readout_bits)
     if cells.min() < 0 or cells.max() >= bits.size:
         raise ValueError("readout does not cover the mapped region")
     return int.from_bytes(np.packbits(bits[cells], bitorder="little").tobytes(), "little")
 
 
-def build_record(device_id: str, mask: StableByteMask, crp_map: CrpBlockMap) -> EnrollmentRecord:
-    by_addr = dict(zip(mask.addresses, mask.values))
-    references = []
-    for block in crp_map.blocks:
-        values = bytes(by_addr[a] for a in block.addresses())
-        references.append(int.from_bytes(values, "little"))
-    return EnrollmentRecord(device_id=device_id, crp_map=crp_map, references=tuple(references))
+def build_record(device_id: str, winnowed: dict[int, int], crp_map: CrpBlockMap) -> EnrollmentRecord:
+    references = tuple(int.from_bytes(bytes(winnowed[a] for a in block), "little")
+                       for block in crp_map.blocks)
+    return EnrollmentRecord(device_id=device_id, crp_map=crp_map, references=references)
 
 
 def _eligible_reads(
@@ -194,7 +155,7 @@ def enroll_device(device: puf.PufDevice, device_id: str) -> EnrollmentRecord:
     nominal = _eligible_reads(device, [NOMINAL_TEMP], NOMINAL_READOUTS,
                               TRIAL_SEED_BASE + 1000)
     winnowed = debias(pre_select(corners, nominal))
-    crp_map = build_map(winnowed)
+    crp_map = build_map(tuple(winnowed))
     return build_record(device_id, winnowed, crp_map)
 
 
@@ -238,8 +199,8 @@ def record_to_text(record: EnrollmentRecord) -> str:
     lines += [f"{key}: {value}" for key, value in RECIPE_LINES.items()]
     lines.append(f"blocks: {len(record.crp_map)}")
     for i, block in enumerate(record.crp_map.blocks):
-        offs = ",".join(str(o) for o in block.offsets)
-        lines.append(f"block {i}: start={block.start_address} offsets={offs}")
+        offs = ",".join(str(a - block[0]) for a in block)
+        lines.append(f"block {i}: start={block[0]} offsets={offs}")
     for i, ref in enumerate(record.references):
         raw = ref.to_bytes(BLOCK_BYTES, "little")
         lines.append(f"ref {i}: {base64.b64encode(raw).decode()}")

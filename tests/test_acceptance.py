@@ -152,8 +152,7 @@ def test_criterion_05_enrollment_reproduction(capsys):
     effs = {}
     for blocks in (2, 4, 8):
         crp = enroll.CrpBlockMap(blocks=tuple(
-            enroll.CrpBlock(start_address=40 * i, offsets=tuple(range(31)))
-            for i in range(blocks)
+            tuple(range(40 * i, 40 * i + 31)) for i in range(blocks)
         ))
         effs[blocks] = f"{100 * enroll.efficiency(crp):.3g}"
 

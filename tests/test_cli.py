@@ -379,6 +379,15 @@ def test_out_under_a_regular_file_is_input_error(capsys, tmp_path, command):
     assert cap.out == ""
 
 
+def test_empty_out_is_usage_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["enroll", "--out", ""])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,blocked", [
     (["enroll"], "enroll.tsv"),
     (["enroll"], "dev-0000.record.txt"),

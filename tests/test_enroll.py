@@ -56,27 +56,27 @@ def crafted_reads():
 class TestPreSelect:
     def test_survivors_and_exclusions(self):
         corners, nominal = crafted_reads()
-        mask = enroll.pre_select(corners, nominal)
-        assert ELIGIBLE_START in mask.addresses
-        assert ELIGIBLE_START + 1 in mask.addresses       # stable, HW 3
-        assert ELIGIBLE_START + 2 not in mask.addresses   # corner flip
-        assert ELIGIBLE_START + 3 not in mask.addresses   # nominal tie
-        assert len(mask) == DEFAULT_LAYOUT.eligible_bytes - 2
+        stable = enroll.pre_select(corners, nominal)
+        assert ELIGIBLE_START in stable
+        assert ELIGIBLE_START + 1 in stable       # stable, HW 3
+        assert ELIGIBLE_START + 2 not in stable   # corner flip
+        assert ELIGIBLE_START + 3 not in stable   # nominal tie
+        assert len(stable) == DEFAULT_LAYOUT.eligible_bytes - 2
+        assert list(stable) == sorted(stable)
 
     def test_majority_values_lsb_first(self):
         corners, nominal = crafted_reads()
-        mask = enroll.pre_select(corners, nominal)
-        by_addr = dict(zip(mask.addresses, mask.values))
-        assert by_addr[ELIGIBLE_START] == HW4_VALUE
-        assert by_addr[ELIGIBLE_START + 1] == HW3_VALUE
+        stable = enroll.pre_select(corners, nominal)
+        assert stable[ELIGIBLE_START] == HW4_VALUE
+        assert stable[ELIGIBLE_START + 1] == HW3_VALUE
 
     def test_majority_outvotes_minority_flips(self):
         corners, _ = crafted_reads()
         rows = [base_bits() for _ in range(10)]
         for i in range(3):   # 3 of 10 flipped: majority keeps the base value
             rows[i][8 * ELIGIBLE_START] ^= 1
-        mask = enroll.pre_select(corners, eligible(rows))
-        assert dict(zip(mask.addresses, mask.values))[ELIGIBLE_START] == HW4_VALUE
+        stable = enroll.pre_select(corners, eligible(rows))
+        assert stable[ELIGIBLE_START] == HW4_VALUE
 
     def test_nothing_stable_raises(self):
         zeros = np.zeros(CELLS, dtype=np.uint8)
@@ -89,78 +89,56 @@ class TestPreSelect:
 
 class TestDebias:
     def test_keeps_only_weight_four(self):
-        mask = enroll.StableByteMask(
-            addresses=(200, 201, 202, 203),
-            values=(0x0F, 0x07, 0xF0, 0xFF),
-        )
-        out = enroll.debias(mask)
-        assert out.addresses == (200, 202)
-        assert out.values == (0x0F, 0xF0)
+        out = enroll.debias({200: 0x0F, 201: 0x07, 202: 0xF0, 203: 0xFF})
+        assert out == {200: 0x0F, 202: 0xF0}
 
     def test_order_preserved(self):
-        mask = enroll.StableByteMask(
-            addresses=tuple(range(300, 340)),
-            values=tuple([0x33] * 40),
-        )
-        out = enroll.debias(mask)
-        assert out.addresses == mask.addresses
+        stable = dict.fromkeys(range(300, 340), 0x33)
+        out = enroll.debias(stable)
+        assert list(out) == list(stable)
 
     def test_empty_result_raises(self):
-        mask = enroll.StableByteMask(addresses=(128,), values=(0xFF,))
         with pytest.raises(enroll.InsufficientMaterialError):
-            enroll.debias(mask)
+            enroll.debias({128: 0xFF})
 
 
 class TestBuildMap:
     def test_two_blocks_from_62_bytes(self):
-        addrs = tuple(range(500, 562))
-        mask = enroll.StableByteMask(addresses=addrs, values=(0x33,) * 62)
-        m = enroll.build_map(mask)
+        m = enroll.build_map(tuple(range(500, 562)))
         assert len(m) == 2
-        assert m.blocks[0].start_address == 500
-        assert m.blocks[0].offsets == tuple(range(31))
-        assert m.blocks[1].start_address == 531
+        assert m.blocks[0] == tuple(range(500, 531))
+        assert m.blocks[1] == tuple(range(531, 562))
 
     def test_leftover_bytes_unused(self):
-        mask = enroll.StableByteMask(
-            addresses=tuple(range(500, 540)), values=(0x33,) * 40
-        )
-        m = enroll.build_map(mask)
+        m = enroll.build_map(tuple(range(500, 540)))
         assert len(m) == 1
-        assert max(m.blocks[0].addresses()) == 530
+        assert max(m.blocks[0]) == 530
 
     def test_offsets_capture_gaps(self):
         addrs = tuple(a for a in range(500, 550) if a % 5 != 0)[:31]
-        mask = enroll.StableByteMask(addresses=addrs, values=(0x33,) * 31)
-        m = enroll.build_map(mask)
-        assert m.blocks[0].addresses() == addrs
+        m = enroll.build_map(addrs)
+        assert m.blocks[0] == addrs
+        record = enroll.build_record("gaps", dict.fromkeys(addrs, 0x33), m)
+        offsets = ",".join(str(o) for o in range(38) if o % 5 != 4)   # 0,1,2,3,5,...
+        assert f"block 0: start=501 offsets={offsets}\n" in enroll.record_to_text(record)
 
     def test_thirty_bytes_is_not_enough(self):
-        mask = enroll.StableByteMask(
-            addresses=tuple(range(500, 530)), values=(0x33,) * 30
-        )
         with pytest.raises(enroll.InsufficientMaterialError):
-            enroll.build_map(mask)
+            enroll.build_map(tuple(range(500, 530)))
 
 
 class TestEfficiency:
     @pytest.mark.parametrize("blocks,shown", [(2, "5.58"), (4, "11.2"), (8, "22.3")])
     def test_reference_points(self, blocks, shown):
         m = enroll.CrpBlockMap(
-            blocks=tuple(
-                enroll.CrpBlock(start_address=128 + 31 * i, offsets=tuple(range(31)))
-                for i in range(blocks)
-            )
+            blocks=tuple(tuple(range(128 + 31 * i, 159 + 31 * i)) for i in range(blocks))
         )
         assert f"{100 * enroll.efficiency(m):.3g}" == shown
 
 
 class TestChallengeToResponse:
     def make_map(self):
-        return enroll.CrpBlockMap(blocks=(
-            enroll.CrpBlock(start_address=128, offsets=tuple(range(31))),
-            enroll.CrpBlock(start_address=200, offsets=tuple(range(31))),
-        ))
+        return enroll.CrpBlockMap(blocks=(tuple(range(128, 159)), tuple(range(200, 231))))
 
     def test_block_selection_wraps(self):
         m = self.make_map()
@@ -209,7 +187,7 @@ class TestFullPipeline:
         _, record = enrolled
         assert len(record.crp_map) >= 2
         for block in record.crp_map.blocks:
-            for a in block.addresses():
+            for a in block:
                 assert ELIGIBLE_START <= a < ELIGIBLE_END
 
     def test_references_are_balanced(self, enrolled):
