@@ -404,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "update" and args.sleep_ms and args.distance_cm is None:
+        parser.error("--sleep-ms needs --distance-cm")
     try:
         return args.func(args)
     except InputError as exc:

@@ -90,14 +90,9 @@ def split_subtasks(total_cycles: int, parts: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class EnergyState:
     v_cap: float
-    distance_cm: float
-    kappa: float
+    rate: float                 # harvest rate a = kappa/d^2 (1/ms)
     time_ms: float = 0.0
     cycles_consumed: int = 0
-
-    @property
-    def rate(self) -> float:
-        return _harvest_rate(self.kappa, self.distance_cm)
 
 
 @dataclass(frozen=True)
@@ -222,6 +217,10 @@ class Harvest:
     sleep_ms: float
     kappa: float
 
+    @property
+    def rate(self) -> float:
+        return _harvest_rate(self.kappa, self.distance_cm)
+
 
 def _check_sleep(sleep_ms: float) -> None:
     if sleep_ms not in SLEEP_CHOICES:
@@ -280,7 +279,7 @@ def cold_start_session(
     Latency is measured from field-on (t = 0), so it includes the charge.
     """
     k = draw_kappa(seed, trial) if kappa is None else kappa
-    state = EnergyState(v_cap=0.0, distance_cm=distance_cm, kappa=k)
+    state = EnergyState(v_cap=0.0, rate=_harvest_rate(k, distance_cm))
     t_charge = time_to_voltage(state, V_BOOT)
     if math.isinf(t_charge):
         return RunResult(False, math.inf, state, failed_op="charge")

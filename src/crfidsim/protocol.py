@@ -372,7 +372,7 @@ class TokenSim:
         self.session_seed = session_seed
         self.harvest = harvest
         self.energy = None if harvest is None else powersim.EnergyState(
-            v_cap=0.0, distance_cm=harvest.distance_cm, kappa=harvest.kappa)
+            v_cap=0.0, rate=harvest.rate)
         self.boot_count = 0
         self.power_cycle()
 

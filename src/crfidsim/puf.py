@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,40 +51,35 @@ class InsufficientEntropyError(ValueError):
 
 @dataclass(frozen=True)
 class PufDevice:
-    num_cells: int
     cell_one_prob: np.ndarray
     rng_seed: int
 
     def __post_init__(self) -> None:
-        if self.num_cells <= 0:
-            raise ValueError("num_cells must be positive")
-        if len(self.cell_one_prob) != self.num_cells:
-            raise ValueError("cell_one_prob length mismatch")
         p = self.cell_one_prob
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("cell_one_prob must be a non-empty 1-D array")
         if ((p < 0) | (p > 1)).any():
             raise ValueError("cell probabilities must lie in [0, 1]")
-        self.cell_one_prob.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class Readout:
-    bits: np.ndarray
-    temperature: float
-
-    def __post_init__(self) -> None:
-        self.bits.setflags(write=False)
-
-
-@dataclass
-class DumpSet:
-    device_id: int
-    readouts: list[Readout] = field(default_factory=list)
+        p.setflags(write=False)
 
     @property
     def num_cells(self) -> int:
-        if not self.readouts:
+        return self.cell_one_prob.size
+
+
+@dataclass(frozen=True)
+class DumpSet:
+    """A characterization run: row i of bits was read at temperatures[i]."""
+
+    device_id: int
+    temperatures: np.ndarray
+    bits: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.bits.ndim != 2 or self.bits.size == 0:
             raise ValueError("empty dump set")
-        return len(self.readouts[0].bits)
+        if len(self.temperatures) != len(self.bits):
+            raise ValueError("temperature count differs from readout count")
 
 
 def synth_device(
@@ -123,7 +118,7 @@ def synth_device(
     leans_one = rng.random(n_stable) < bias
     prob[stable_mask] = np.where(leans_one, 1.0 - noisy_epsilon, noisy_epsilon)
     prob[uniform_idx] = rng.random(len(uniform_idx))
-    return PufDevice(num_cells=num_cells, cell_one_prob=prob, rng_seed=seed)
+    return PufDevice(cell_one_prob=prob, rng_seed=seed)
 
 
 def temp_scale(temperature: float) -> float:
@@ -169,17 +164,16 @@ def _sample(
 def readout_cells(
     device: PufDevice, temperature: float, trial_seed: int, lo: int, hi: int
 ) -> np.ndarray:
-    """Cells lo..hi-1 of a power-up sample; equal to readout(...).bits[lo:hi]."""
+    """Cells lo..hi-1 of a power-up sample; equal to readout(...)[lo:hi]."""
     if not 0 <= lo < hi <= device.num_cells:
         raise ValueError(f"cell range {lo}..{hi} outside 0..{device.num_cells}")
     probs = _temperature_probs(device, temperature, lo, hi)
     return _sample(device, probs, temperature, trial_seed, lo)
 
 
-def readout(device: PufDevice, temperature: float, trial_seed: int) -> Readout:
+def readout(device: PufDevice, temperature: float, trial_seed: int) -> np.ndarray:
     """One full-array power-up sample at the given temperature."""
-    bits = readout_cells(device, temperature, trial_seed, 0, device.num_cells)
-    return Readout(bits=bits, temperature=temperature)
+    return readout_cells(device, temperature, trial_seed, 0, device.num_cells)
 
 
 def collect_dump(
@@ -190,13 +184,9 @@ def collect_dump(
     trial_seed_base: int = 0,
 ) -> DumpSet:
     """Characterization run: repeated readouts at each temperature."""
-    out = DumpSet(device_id=device_id)
-    trial = trial_seed_base
-    for t in temperatures:
-        for _ in range(readouts_per_temp):
-            out.readouts.append(readout(device, t, trial))
-            trial += 1
-    return out
+    temps = np.repeat(np.asarray(temperatures, dtype=np.float64), readouts_per_temp)
+    bits = [readout(device, t, trial_seed_base + i) for i, t in enumerate(temps.tolist())]
+    return DumpSet(device_id=device_id, temperatures=temps, bits=np.array(bits))
 
 
 # -------------------------------------------------------------------- metrics
@@ -206,26 +196,18 @@ def ber(reference: Sequence[int], trials: Sequence[Sequence[int]]) -> float:
     ref = np.asarray(reference, dtype=np.uint8)
     if len(trials) == 0:
         raise ValueError("need at least one trial")
-    total = 0.0
-    for t in trials:
-        arr = np.asarray(t, dtype=np.uint8)
-        if arr.shape != ref.shape:
-            raise ValueError("trial length mismatch")
-        total += float(np.mean(arr != ref))
-    return total / len(trials)
+    arr = np.asarray(trials, dtype=np.uint8)
+    if arr.shape[1:] != ref.shape:
+        raise ValueError("trial length mismatch")
+    return np.count_nonzero(arr != ref) / arr.size
 
 
 def bias(readouts: Sequence[Sequence[int]]) -> float:
     """Empirical probability of 1 pooled over all bits of all readouts."""
     if len(readouts) == 0:
         raise ValueError("need at least one readout")
-    ones = 0
-    bits = 0
-    for r in readouts:
-        arr = np.asarray(r, dtype=np.uint8)
-        ones += int(arr.sum())
-        bits += arr.size
-    return ones / bits
+    arr = np.asarray(readouts, dtype=np.uint8)
+    return int(arr.sum(dtype=np.int64)) / arr.size
 
 
 # ----------------------------------------------------------------------- trng
@@ -266,16 +248,13 @@ def write_dump(path: str, dump: DumpSet) -> None:
     readout count u16, then per readout a centi-degree i16 and the packed
     bits (LSB-first within each byte). Integers little-endian.
     """
-    cells = dump.num_cells
+    count, cells = dump.bits.shape
     with open(path, "wb") as fh:
         fh.write(DUMP_MAGIC)
-        fh.write(struct.pack("<BIIH", DUMP_VERSION, dump.device_id, cells,
-                             len(dump.readouts)))
-        for r in dump.readouts:
-            if len(r.bits) != cells:
-                raise ValueError("inconsistent readout length")
-            fh.write(struct.pack("<h", int(round(r.temperature * 100))))
-            fh.write(np.packbits(r.bits, bitorder="little").tobytes())
+        fh.write(struct.pack("<BIIH", DUMP_VERSION, dump.device_id, cells, count))
+        for temperature, row in zip(dump.temperatures, dump.bits):
+            fh.write(struct.pack("<h", int(round(temperature * 100))))
+            fh.write(np.packbits(row, bitorder="little").tobytes())
 
 
 def read_dump(path: str) -> DumpSet:
@@ -296,15 +275,18 @@ def read_dump(path: str) -> DumpSet:
     if version != DUMP_VERSION:
         raise ValueError(f"unsupported dump version {version}")
     nbytes = (cells + 7) // 8
-    out = DumpSet(device_id=device_id)
+    centis, rows = [], []
+    # each row's bytes are checked before it is kept: the header's sizes are
+    # untrusted, so nothing is allocated from them up front
     for i in range(count):
         (centi,) = struct.unpack("<h", take(2, f"readout {i} temperature"))
         packed = np.frombuffer(take(nbytes, f"readout {i} bits"), dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little")[:cells]
-        out.readouts.append(Readout(bits=bits, temperature=centi / 100.0))
+        centis.append(centi)
+        rows.append(np.unpackbits(packed, bitorder="little")[:cells])
     if buf.read(1):
         raise ValueError("trailing bytes after last readout")
-    return out
+    return DumpSet(device_id=device_id, temperatures=np.array(centis) / 100.0,
+                   bits=np.array(rows, dtype=np.uint8).reshape(count, cells))
 
 
 def device_from_dump(dump: DumpSet, seed: int = 0) -> PufDevice:
@@ -317,13 +299,9 @@ def device_from_dump(dump: DumpSet, seed: int = 0) -> PufDevice:
     dump yields a noiseless device. A readout outside [TEMP_MIN, TEMP_MAX]
     raises TemperatureRangeError.
     """
-    cells = dump.num_cells
-    ones = np.zeros(cells, dtype=np.int64)
-    for r in dump.readouts:
-        ones += r.bits
-    freq = ones / len(dump.readouts)
-    scale = np.mean([temp_scale(r.temperature) for r in dump.readouts])
+    freq = dump.bits.sum(axis=0, dtype=np.int64) / len(dump.bits)
+    scale = np.mean([temp_scale(t) for t in dump.temperatures])
     prefers_one = freq >= 0.5
     flip = np.where(prefers_one, 1.0 - freq, freq) / scale
     prob = np.where(prefers_one, 1.0 - flip, flip)
-    return PufDevice(num_cells=cells, cell_one_prob=prob, rng_seed=seed)
+    return PufDevice(cell_one_prob=prob, rng_seed=seed)

@@ -144,7 +144,7 @@ def test_criterion_05_enrollment_reproduction(capsys):
         for j in range(30):
             r = puf.readout(device, enroll.NOMINAL_TEMP, trial_seed=800_000 + j)
             for c in range(len(record.crp_map)):
-                bits = enroll.challenge_to_response(record.crp_map, c, r.bits)
+                bits = enroll.challenge_to_response(record.crp_map, c, r)
                 pooled_ones += bits.bit_count()
                 pooled_bits += enroll.BLOCK_BITS
     bias = pooled_ones / pooled_bits
@@ -382,7 +382,7 @@ def test_criterion_09_power_trends(capsys):
                   and by_sleep[-1] > by_sleep[0])
 
     # (c) exact latency accounting
-    state = powersim.EnergyState(v_cap=2.5, distance_cm=20.0, kappa=60.0)
+    state = powersim.EnergyState(v_cap=2.5, rate=60.0 / 20.0**2)
     fe_gen = (powersim.PlanOp("fe-gen", powersim.FE_GEN_CYCLES, 8),)
     base = powersim.run_ops(fe_gen, 0, state)
     latency_exact = all(

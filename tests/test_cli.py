@@ -101,14 +101,14 @@ class TestEnroll:
     def test_dump_temperature_outside_model_range_clean_error(self, capsys, tmp_path):
         path = tmp_path / "hot.dump"
         bits = np.zeros(64, dtype=np.uint8)
-        puf.write_dump(str(path), puf.DumpSet(1, [puf.Readout(bits, 90.0)]))
+        puf.write_dump(str(path), puf.DumpSet(1, np.array([90.0]), bits[None]))
         code, cap = run_cli(capsys, "enroll", "--device", f"dump:{path}")
         assert code == 3
         assert "outside model range" in cap.err
         assert "Traceback" not in cap.err
 
     def test_dump_smaller_than_eligible_region_clean_error(self, capsys, tmp_path):
-        device = puf.PufDevice(num_cells=512, cell_one_prob=np.full(512, 0.5), rng_seed=4)
+        device = puf.PufDevice(cell_one_prob=np.full(512, 0.5), rng_seed=4)
         path = tmp_path / "small.dump"
         puf.write_dump(str(path), puf.collect_dump(device, 4, temperatures=(25.0,),
                                                    readouts_per_temp=2))
@@ -263,6 +263,13 @@ class TestUpdate:
             packed = int.from_bytes(data, "big")
             assert packed & 0x3F == 0
             decode(Gen2Frame(bits=BitString(packed >> 6, 8 * len(data) - 6)))
+
+    def test_sleep_without_distance_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["update", "--sleep-ms", "30", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--distance-cm" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_under_seed(self, capsys):
         argv = ("update", "--seed", "7", "--image", "sense",

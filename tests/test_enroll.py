@@ -205,9 +205,9 @@ class TestFullPipeline:
     def test_winnowing_beats_raw_corner_ber(self, enrolled):
         dev, record = enrolled
         lo, hi = 8 * ELIGIBLE_START, 8 * ELIGIBLE_END
-        ref = puf.readout(dev, 25.0, 699_999).bits[lo:hi]
+        ref = puf.readout(dev, 25.0, 699_999)[lo:hi]
         trials = [
-            puf.readout(dev, 0.0, 700_000 + i).bits[lo:hi] for i in range(5)
+            puf.readout(dev, 0.0, 700_000 + i)[lo:hi] for i in range(5)
         ]
         raw = puf.ber(ref, trials)
         pipe = enroll.measure_pipeline_ber(
@@ -223,7 +223,7 @@ class TestFullPipeline:
         for trial in range(40):
             r = puf.readout(dev, 25.0, 900_000 + trial)
             for c in range(len(record.crp_map)):
-                resp = enroll.challenge_to_response(record.crp_map, c, r.bits)
+                resp = enroll.challenge_to_response(record.crp_map, c, r)
                 ones += resp.bit_count()
                 total += enroll.BLOCK_BITS
         assert abs(ones / total - 0.5) < 0.005

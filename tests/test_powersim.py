@@ -14,7 +14,7 @@ from crfidsim.gen2 import BlockWrite, TagPrivilege, encode
 
 
 def state_at(v, distance=40.0, kappa=16.0):
-    return ps.EnergyState(v_cap=v, distance_cm=distance, kappa=kappa)
+    return ps.EnergyState(v_cap=v, rate=ps.Harvest(distance, 0, kappa).rate)
 
 
 class TestCostTable:
@@ -353,7 +353,7 @@ class TestInputValidation:
         assert ps.single_charge_budget(distance, ps.draw_kappa(1, 0)) == want
 
     def test_underflowing_square_with_zero_kappa_is_zero_rate(self):
-        assert ps.EnergyState(0.0, 1e-200, 0.0).rate == 0.0
+        assert ps.Harvest(1e-200, 0, 0.0).rate == 0.0
 
 
 class TestCriticalRate:

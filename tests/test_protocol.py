@@ -321,6 +321,29 @@ class TestEndToEnd:
         assert bytes(token.nvm.app_area[: len(data)]) == data
 
 
+def test_silent_miscorrection_rejected_without_retry():
+    """A block past t that BCH decodes to a wrong codeword: recover_key
+    returns a wrong key instead of raising, so the prover cannot retry and
+    the token rejects the tag. Device 7 of bench's seed-2 update-clean fleet,
+    at its main-stream session index 23,700."""
+    dev = puf.synth_device(seed=423903237)
+    record = enroll.enroll_device(dev, "dev-7")
+    db = protocol.ProverDb()
+    db.add(record)
+    token = protocol.TokenSim(dev, record.crp_map, temperature=33.14,
+                              session_seed=23701)
+    channel = protocol.Channel(token)
+    out = protocol.prover_update(db, "dev-7", protocol.demo_images()["blinky"],
+                                 channel, rng_seed=1839324821)
+    assert out is protocol.UpdateOutcome.REJECTED_BY_TOKEN
+    assert (token.boot_count, channel.counter) == (3, 11)
+    assert not any(token.nvm.app_area)
+
+    nvm = protocol.TokenNvm(crp_map=record.crp_map, firmware_update_flag=True)
+    st = protocol.token_boot(dev, nvm, 33.14, boot_seed=23701 * 100_000 + 2)
+    assert protocol.recover_key(record, st.auth) != st.key
+
+
 class TestTamperAndReplay:
     def test_chunk_bit_flips_never_commit(self, enrolled):
         _, _, db = enrolled
@@ -595,7 +618,7 @@ class TestWireOrderPinned:
     def test_challenge_to_response_value(self, enrolled):
         dev, record, _ = enrolled
         r = enroll.challenge_to_response(
-            record.crp_map, 92, puf.readout(dev, 25.0, trial_seed=3).bits
+            record.crp_map, 92, puf.readout(dev, 25.0, trial_seed=3)
         )
         assert r == int(
             "3aa6396393c6353a333935c69aaab13a39a9d1b14d8b4e1c652e368bc6a587", 16

@@ -34,20 +34,31 @@ def test_synth_device_rejects_bad_fractions():
         puf.synth_device(noisy_epsilon=-0.1)
 
 
+@pytest.mark.parametrize("prob", [np.array([]), np.full((2, 4), 0.5),
+                                  np.array([0.5, 1.5]), np.array([-0.1])])
+def test_device_rejects_bad_probabilities(prob):
+    with pytest.raises(ValueError):
+        puf.PufDevice(cell_one_prob=prob, rng_seed=0)
+
+
+def test_num_cells_is_the_probability_count():
+    assert puf.synth_device(seed=1, num_cells=100).num_cells == 100
+
+
 def test_readout_deterministic_under_seeds():
     dev = puf.synth_device(seed=1)
     r1 = puf.readout(dev, 25.0, trial_seed=10)
     r2 = puf.readout(dev, 25.0, trial_seed=10)
     r3 = puf.readout(dev, 25.0, trial_seed=11)
-    assert np.array_equal(r1.bits, r2.bits)
-    assert not np.array_equal(r1.bits, r3.bits)
+    assert np.array_equal(r1, r2)
+    assert not np.array_equal(r1, r3)
 
 
 def test_noiseless_device_identical_readouts():
     dev = noiseless_device()
     r1 = puf.readout(dev, 25.0, trial_seed=0)
     r2 = puf.readout(dev, 40.0, trial_seed=99)
-    assert np.array_equal(r1.bits, r2.bits)
+    assert np.array_equal(r1, r2)
 
 
 def test_readout_temperature_range():
@@ -69,7 +80,7 @@ def test_readout_cells_equals_readout_window(device_seed, temperature, trial_see
     dev = puf.synth_device(seed=device_seed, num_cells=2048)
     lo = data.draw(st.integers(0, dev.num_cells - 1), label="lo")
     hi = data.draw(st.integers(lo + 1, dev.num_cells), label="hi")
-    full = puf.readout(dev, temperature, trial_seed).bits
+    full = puf.readout(dev, temperature, trial_seed)
     window = puf.readout_cells(dev, temperature, trial_seed, lo, hi)
     assert window.dtype == full.dtype
     assert np.array_equal(window, full[lo:hi])
@@ -77,7 +88,7 @@ def test_readout_cells_equals_readout_window(device_seed, temperature, trial_see
 
 def test_readout_cells_full_size_device_window():
     dev = puf.synth_device(seed=12)
-    full = puf.readout(dev, 33.3, trial_seed=77).bits
+    full = puf.readout(dev, 33.3, trial_seed=77)
     lo, hi = 8 * 300, 8 * 611
     assert np.array_equal(puf.readout_cells(dev, 33.3, 77, lo, hi), full[lo:hi])
 
@@ -104,10 +115,10 @@ def test_temp_scale_nominal_is_one():
 
 def test_flip_rate_nondecreasing_away_from_nominal():
     dev = puf.synth_device(seed=4)
-    ref = puf.readout(dev, 25.0, trial_seed=0).bits
+    ref = puf.readout(dev, 25.0, trial_seed=0)
     rates = []
     for temp in (25.0, 40.0, 0.0, -15.0, 80.0):  # ordered by flip scale
-        trials = [puf.readout(dev, temp, trial_seed=100 + i).bits for i in range(5)]
+        trials = [puf.readout(dev, temp, trial_seed=100 + i) for i in range(5)]
         rates.append(puf.ber(ref, trials))
     assert all(a <= b + 1e-3 for a, b in zip(rates, rates[1:]))
 
@@ -132,7 +143,7 @@ def test_ber_matches_injected_noise_level():
     # flat device: every cell flips with probability 0.01 at nominal temp
     dev = puf.synth_device(stable_frac=1.0, noisy_epsilon=0.01, seed=9)
     ref = np.where(dev.cell_one_prob > 0.5, 1, 0).astype(np.uint8)
-    trials = [puf.readout(dev, 25.0, trial_seed=i).bits for i in range(10)]
+    trials = [puf.readout(dev, 25.0, trial_seed=i) for i in range(10)]
     measured = puf.ber(ref, trials)
     assert measured == pytest.approx(0.01, abs=0.002)
 
@@ -146,7 +157,7 @@ def test_bias_trivial_cases():
 
 def test_raw_device_bias_near_half():
     dev = puf.synth_device(seed=12)
-    reads = [puf.readout(dev, 25.0, trial_seed=i).bits for i in range(5)]
+    reads = [puf.readout(dev, 25.0, trial_seed=i) for i in range(5)]
     assert puf.bias(reads) == pytest.approx(0.4999, abs=0.01)
 
 
@@ -215,10 +226,17 @@ def test_dump_roundtrip_bit_identical(tmp_path):
     puf.write_dump(str(path), dump)
     back = puf.read_dump(str(path))
     assert back.device_id == 7
-    assert len(back.readouts) == 9
-    for orig, loaded in zip(dump.readouts, back.readouts):
-        assert loaded.temperature == pytest.approx(orig.temperature, abs=0.005)
-        assert np.array_equal(orig.bits, loaded.bits)
+    assert back.bits.shape == (9, 512)
+    assert back.temperatures == pytest.approx(dump.temperatures, abs=0.005)
+    assert np.array_equal(dump.bits, back.bits)
+
+
+@pytest.mark.parametrize("temperatures,shape", [
+    ([], (0, 8)), ([25.0], (1, 0)), ([25.0], (8,)), ([25.0, 0.0], (1, 8)),
+])
+def test_dump_set_rejects_empty_or_misshapen(temperatures, shape):
+    with pytest.raises(ValueError):
+        puf.DumpSet(1, np.array(temperatures), np.zeros(shape, dtype=np.uint8))
 
 
 def test_dump_rejects_garbage(tmp_path):
@@ -259,8 +277,8 @@ def test_device_from_dump_reproduces_stable_cells():
     dump = puf.collect_dump(dev, device_id=2, temperatures=[25.0],
                             readouts_per_temp=100)
     fitted = puf.device_from_dump(dump, seed=1)
-    want = puf.readout(dev, 25.0, trial_seed=0).bits
-    got = puf.readout(fitted, 25.0, trial_seed=50).bits
+    want = puf.readout(dev, 25.0, trial_seed=0)
+    got = puf.readout(fitted, 25.0, trial_seed=50)
     # a flip-free dump reproduces the cells exactly
     assert float(np.mean(want != got)) == 0.0
 
@@ -277,7 +295,7 @@ def test_device_from_dump_matches_source_flip_rates():
     preferred = (p >= 0.5)[stable]
 
     def flip_rate(dev, temperature):
-        return np.mean([puf.readout(dev, temperature, 1000 + i).bits[stable] != preferred
+        return np.mean([puf.readout(dev, temperature, 1000 + i)[stable] != preferred
                         for i in range(40)])
 
     for temperature in (0.0, 25.0, 40.0):
@@ -288,6 +306,6 @@ def test_device_from_dump_matches_source_flip_rates():
 def test_device_from_dump_rejects_temperature_outside_model_range():
     bits = np.zeros(64, dtype=np.uint8)
     for temperature in (puf.TEMP_MIN - 1, puf.TEMP_MAX + 1):
-        dump = puf.DumpSet(1, [puf.Readout(bits, 25.0), puf.Readout(bits, temperature)])
+        dump = puf.DumpSet(1, np.array([25.0, temperature]), np.stack([bits, bits]))
         with pytest.raises(puf.TemperatureRangeError):
             puf.device_from_dump(dump)
