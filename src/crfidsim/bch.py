@@ -23,18 +23,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-# primitive field polynomials, keyed by extension degree m
-FIELD_POLYS = {
-    3: 0b1011,         # x^3 + x + 1
-    5: 0b100101,       # x^5 + x^2 + 1
-    6: 0b1000011,      # x^6 + x + 1
-}
-
-# the three supported (n, k, t) triples and their field degree
+# the three supported codes: (n, k, t) -> (primitive field polynomial of
+# GF(2^m), generator polynomial); g(x) is the lcm of the minimal polynomials
+# of alpha^1 .. alpha^2t, which tests/test_bch.py checks independently
 SUPPORTED_CODES = {
-    (7, 4, 1): 3,
-    (31, 16, 3): 5,
-    (63, 24, 7): 6,
+    (7, 4, 1): (0b1011, 0xB),                 # x^3 + x + 1
+    (31, 16, 3): (0b100101, 0x8FAF),          # x^5 + x^2 + 1
+    (63, 24, 7): (0b1000011, 0xF69AC20921),   # x^6 + x + 1
 }
 
 
@@ -51,17 +46,15 @@ class BchParams:
     n: int
     k: int
     t: int
-    m: int
     field_poly: int
     generator_poly: int
 
 
 class GaloisField:
-    """GF(2^m) arithmetic via exp/log tables."""
+    """GF(2^m) arithmetic via exp/log tables; m is the field polynomial's degree."""
 
-    def __init__(self, m: int, field_poly: int):
-        self.m = m
-        self.size = 1 << m
+    def __init__(self, field_poly: int):
+        self.size = 1 << (field_poly.bit_length() - 1)
         self.order = self.size - 1
         exp = [0] * (2 * self.order)
         log = [0] * self.size
@@ -99,18 +92,8 @@ class GaloisField:
 
 
 @lru_cache(maxsize=None)
-def _field(m: int, field_poly: int) -> GaloisField:
-    return GaloisField(m, field_poly)
-
-
-def _poly_mul_gf2(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return r
+def _field(field_poly: int) -> GaloisField:
+    return GaloisField(field_poly)
 
 
 def _poly_mod_gf2(a: int, mod: int) -> int:
@@ -120,59 +103,14 @@ def _poly_mod_gf2(a: int, mod: int) -> int:
     return a
 
 
-def _cyclotomic_coset(rep: int, n: int) -> list[int]:
-    coset = []
-    j = rep
-    while j not in coset:
-        coset.append(j)
-        j = (j * 2) % n
-    return coset
-
-
-def _minimal_poly(rep: int, gf: GaloisField) -> int:
-    """Minimal polynomial of alpha^rep: prod over the coset of (x - alpha^j)."""
-    coeffs = [1]
-    for j in _cyclotomic_coset(rep, gf.order):
-        root = gf.alpha_power(j)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] ^= c
-            nxt[i] ^= gf.multiply(c, root)
-        coeffs = nxt
-    # minimal polynomials of field elements always land in GF(2)
-    assert all(c in (0, 1) for c in coeffs)
-    return sum(c << i for i, c in enumerate(coeffs))
-
-
-@lru_cache(maxsize=None)
 def make_code(n: int, k: int, t: int) -> BchParams:
-    """Build parameters for one of the supported codes.
-
-    The generator polynomial is the lcm of the minimal polynomials of
-    alpha^1 .. alpha^2t, assembled by multiplying one minimal polynomial per
-    cyclotomic coset.
-    """
+    """Parameters of one of the supported codes."""
     try:
-        m = SUPPORTED_CODES[(n, k, t)]
+        field_poly, generator_poly = SUPPORTED_CODES[(n, k, t)]
     except KeyError:
         raise UnsupportedCodeError(f"unsupported BCH parameters ({n},{k},{t})")
-    gf = _field(m, FIELD_POLYS[m])
-    reps: list[int] = []
-    covered: set[int] = set()
-    for i in range(1, 2 * t + 1):
-        if i in covered:
-            continue
-        reps.append(i)
-        covered.update(_cyclotomic_coset(i, n))
-    g = 1
-    for rep in reps:
-        g = _poly_mul_gf2(g, _minimal_poly(rep, gf))
-    assert g.bit_length() - 1 == n - k
-    return BchParams(
-        n=n, k=k, t=t, m=m,
-        field_poly=FIELD_POLYS[m],
-        generator_poly=g,
-    )
+    return BchParams(n=n, k=k, t=t, field_poly=field_poly,
+                     generator_poly=generator_poly)
 
 
 def check_width(value: int, bits: int, what: str) -> None:
@@ -196,7 +134,7 @@ def encode(message: int, code: BchParams) -> int:
 
 def _power_sums(y: int, code: BchParams) -> list[int]:
     """S_j = y(alpha^j) for j = 1 .. 2t."""
-    gf = _field(code.m, code.field_poly)
+    gf = _field(code.field_poly)
     positions = [i for i in range(code.n) if (y >> i) & 1]
     sums = []
     for j in range(1, 2 * code.t + 1):
@@ -240,7 +178,7 @@ def _berlekamp_massey(syndromes: list[int], gf: GaloisField) -> list[int]:
 
 def _chien_search(locator: list[int], code: BchParams) -> list[int]:
     """Positions i where alpha^-i is a root of the locator."""
-    gf = _field(code.m, code.field_poly)
+    gf = _field(code.field_poly)
     return [
         i for i in range(code.n)
         if gf.poly_eval(locator, gf.alpha_power(-i % gf.order)) == 0
@@ -261,7 +199,7 @@ def correct(word: int, target: int, code: BchParams) -> int:
         return word
     # delta, read as a low-degree word, lies in the same coset as the error
     sums = _power_sums(delta, code)
-    gf = _field(code.m, code.field_poly)
+    gf = _field(code.field_poly)
     locator = _berlekamp_massey(sums, gf)
     degree = len(locator) - 1
     if degree > code.t:

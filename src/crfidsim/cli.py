@@ -25,7 +25,6 @@ from . import bch, enroll, fuzzy, powersim, protocol, puf
 from .protocol import CHUNK_WORDS, TamperPolicy, UpdateOutcome
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_INPUT = 3
 
 # cmd_analyze reads trial j of each readout row at trial seed base + offset + j,

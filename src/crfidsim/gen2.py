@@ -27,6 +27,8 @@ WORDPTR_SECURECOMM = 0x7D
 WORDPTR_TAGPRIVILEGE = 0x7E
 TAGPRIVILEGE_WORD = 0x0001
 MAX_WORDS = 255
+# a wordptr has at most this many 7-bit EBV groups, so it is below 2**35
+EBV_MAX_GROUPS = 5
 DOWNLOAD_WORDS = DEFAULT_LAYOUT.download_bytes // 2
 
 CRC_POLY = 0x1021
@@ -127,7 +129,7 @@ def ebv_encode(value: int) -> BitString:
 
 def _ebv_decode(bits: BitString, pos: int) -> tuple[int, int]:
     value = 0
-    for _ in range(5):
+    for _ in range(EBV_MAX_GROUPS):
         if pos + 8 > bits.length:
             raise FrameFormatError("truncated EBV field")
         byte = bits.field(pos, 8)
@@ -206,8 +208,8 @@ def _raw_fields(cmd: CommandView) -> tuple[int, int, tuple[int, ...]]:
             raise ValueError("membank must be 0..3")
         if cmd.membank == 0 and cmd.wordptr in _RESERVED_BANK0_PTRS:
             raise WordPtrRangeError("reserved membank-0 wordptr")
-        if cmd.wordptr < 0:
-            raise WordPtrRangeError("wordptr must be non-negative")
+        if not 0 <= cmd.wordptr < 1 << 7 * EBV_MAX_GROUPS:
+            raise WordPtrRangeError(f"wordptr must be 0..2**{7 * EBV_MAX_GROUPS}-1")
         if not 1 <= len(cmd.words) <= MAX_WORDS:
             raise ValueError(f"word count must be 1..{MAX_WORDS}")
         if any(not 0 <= w <= 0xFFFF for w in cmd.words):

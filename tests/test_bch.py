@@ -3,9 +3,10 @@
 Reference values and reference arithmetic in this file are computed
 independently of the module under test: plain long-division over int
 bitmasks, exhaustive enumeration for the (7,4,1) code, and frozen
-generator-polynomial masks that were derived and property-checked
-(degree, divisibility, root set) by a standalone script before being
-pinned here.
+generator-polynomial masks. Each tabulated code is checked here with
+GF(2^m) arithmetic local to this file: the generator's degree, that it
+divides x^n + 1, that alpha^1 .. alpha^2t are its roots, and that the
+field polynomial is primitive.
 """
 
 import random
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from crfidsim import bch
 
-# frozen: derived via lcm of minimal polynomials, verified to divide x^n - 1
-# and to have alpha^1..alpha^2t as roots
+# frozen: the lcm of the minimal polynomials of alpha^1..alpha^2t;
+# test_generator_divides_xn_minus_1 checks that property
 GENERATORS = {
     (7, 4, 1): 0xB,
     (31, 16, 3): 0x8FAF,
@@ -33,6 +34,15 @@ def ref_poly_mod(a: int, mod: int) -> int:
     while a and a.bit_length() - 1 >= dm:
         a ^= mod << (a.bit_length() - 1 - dm)
     return a
+
+
+def ref_alpha_powers(field_poly: int) -> list[int]:
+    """x^i mod field_poly for i = 0 .. 2^m - 2, by shift and reduce."""
+    m = field_poly.bit_length() - 1
+    powers = [1]
+    for _ in range((1 << m) - 2):
+        powers.append(ref_poly_mod(powers[-1] << 1, field_poly))
+    return powers
 
 
 def rand_bits(rng: random.Random, n: int) -> int:
@@ -57,6 +67,18 @@ def test_generator_divides_xn_minus_1(params):
     code = bch.make_code(n, k, t)
     assert code.generator_poly.bit_length() - 1 == n - k
     assert ref_poly_mod((1 << n) | 1, code.generator_poly) == 0
+    # the field polynomial is primitive: x generates all 2^m - 1 nonzero
+    # elements of GF(2^m), and n = 2^m - 1
+    powers = ref_alpha_powers(code.field_poly)
+    assert len(powers) == n
+    assert set(powers) == set(range(1, n + 1))
+    # g(alpha^j) = 0 for j = 1 .. 2t, with alpha = x mod the field polynomial
+    g_terms = [i for i in range(n - k + 1) if (code.generator_poly >> i) & 1]
+    for j in range(1, 2 * t + 1):
+        value = 0
+        for i in g_terms:
+            value ^= powers[i * j % n]
+        assert value == 0, j
 
 
 def test_code_741_shape():

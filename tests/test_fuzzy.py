@@ -286,6 +286,29 @@ def test_mc_key_failure_matches_analytic_sweep(ber):
     assert abs(res.rate - p) < 4 * se
 
 
+@pytest.mark.parametrize("n,k,t,blocks,ber", [(31, 16, 3, 8, 0.03), (63, 24, 7, 5, 0.06)])
+def test_scalar_decoder_matches_analytic_rate(n, k, t, blocks, ber):
+    """The decoder the protocol runs (fe_gen/fe_rec through bch.correct)
+    fails at the analytic rate: 1,000 sessions, within 4 SE."""
+    cfg = fuzzy.FeConfig(code=bch.make_code(n, k, t), blocks=blocks)
+    sessions = 1000
+    rng = np.random.default_rng(1019)
+    e = fuzzy.error_masks(rng, (sessions, blocks), n, ber)
+    enrolled = rng.integers(0, 1 << n, size=(sessions, blocks), dtype=np.uint64)
+    failures = 0
+    for r_blocks, e_blocks in zip(enrolled.tolist(), e.tolist()):
+        r = sum(b << (i * n) for i, b in enumerate(r_blocks))
+        err = sum(b << (i * n) for i, b in enumerate(e_blocks))
+        key, helper = fuzzy.fe_gen(r ^ err, cfg)
+        try:
+            failures += fuzzy.fe_rec(r, helper, cfg) != key
+        except fuzzy.KeyRecoveryFailure:
+            failures += 1
+    p = fuzzy.key_failure_prob(ber, cfg)
+    se = (p * (1 - p) / sessions) ** 0.5
+    assert abs(failures / sessions - p) < 4 * se
+
+
 @pytest.mark.parametrize("ber", [-0.1, 1.5, float("nan")])
 def test_mc_key_failure_rejects_bad_ber(ber):
     with pytest.raises(ValueError):

@@ -268,6 +268,19 @@ class TestDiscriminators:
         with pytest.raises(gen2.WordPtrRangeError):
             gen2.encode(gen2.BlockWrite(membank=0, wordptr=0x7D, words=(1,)), 0)
 
+    def test_widest_wordptr_round_trips(self):
+        top = (1 << 7 * gen2.EBV_MAX_GROUPS) - 1
+        assert top == 2**35 - 1
+        cmd = gen2.BlockWrite(membank=3, wordptr=top, words=(1,))
+        assert gen2.decode(gen2.encode(cmd, 0)) == cmd
+
+    @pytest.mark.parametrize("wordptr", [2**35, 2**42, -1])
+    def test_wordptr_past_the_ebv_limit_rejected(self, wordptr):
+        # the decoder reads at most EBV_MAX_GROUPS groups, so the encoder
+        # must not emit a sixth
+        with pytest.raises(gen2.WordPtrRangeError):
+            gen2.encode(gen2.BlockWrite(membank=3, wordptr=wordptr, words=(1,)), 0)
+
     def test_bank0_other_ptrs_are_plain_writes(self):
         cmd = gen2.BlockWrite(membank=0, wordptr=5, words=(7,))
         assert gen2.decode(gen2.encode(cmd, 0)) == cmd
