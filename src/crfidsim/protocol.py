@@ -4,8 +4,8 @@ A session walks the wire flow end to end: privilege drop, setup write,
 key exchange (nonce, challenge, helper data), chunked image transfer
 into the download area, then one encrypted tag whose verification gates
 the copy into the application area. Every reset or brownout wipes the
-volatile key material; the application area changes only inside
-commit_firmware after the tag check passes.
+volatile key material; the application area changes only in token_handle's
+SecureComm branch, after the tag check passes.
 """
 
 from __future__ import annotations
@@ -185,24 +185,10 @@ class TokenState:
     nvm: TokenNvm
     key: bytes | None = None        # this update boot's AES key; None otherwise
     auth: AuthReply | None = None   # what Authenticate answers; update boots only
-    pending_setup: UpdateSetup | None = None
-    update: UpdateSetup | None = None
-    reset_scheduled: bool = False
+    setup: UpdateSetup | None = None  # written in KEY_READY, used in FIRMWARE_UPDATE
 
     def volatile_cleared(self) -> bool:
-        return (
-            self.key is None
-            and self.auth is None
-            and self.pending_setup is None
-            and self.update is None
-        )
-
-
-def _clear_volatile(state: TokenState) -> None:
-    state.key = None
-    state.auth = None
-    state.pending_setup = None
-    state.update = None
+        return self.key is None and self.auth is None and self.setup is None
 
 
 def _to_wire(bits: int, nbits: int) -> bytes:
@@ -247,104 +233,84 @@ def token_boot(
     )
 
 
-def commit_firmware(state: TokenState) -> TokenState:
-    """Copy the verified download range into the application area."""
-    setup = state.update
-    if state.mode is not TokenMode.FIRMWARE_UPDATE or setup is None:
-        raise ValueError("commit outside a verified update session")
-    off = 2 * setup.start_word
-    state.nvm.app_area[off : off + setup.size] = (
-        state.nvm.download_area[off : off + setup.size]
-    )
-    state.nvm.firmware_update_flag = False
-    state.reset_scheduled = True
-    return state
+def token_handle(
+    state: TokenState, frame: gen2.Gen2Frame
+) -> tuple[TokenState, Reply, bool]:
+    """One reader frame against the token state machine.
 
-
-def _reject(state: TokenState, code: ErrorCode, reset: bool = False) -> tuple[TokenState, Reply]:
-    if reset:
-        state.reset_scheduled = True
-    return state, Nak(code)
-
-
-def token_handle(state: TokenState, frame: gen2.Gen2Frame) -> tuple[TokenState, Reply]:
-    """One reader frame against the token state machine."""
+    Returns the next state, the reply and whether the token resets now.
+    """
     if state.mode is TokenMode.HALTED:
-        return state, None
+        return state, None, False
     try:
         view = gen2.decode(frame)
     except gen2.BadCrcError:
-        return state, None
+        return state, None, False
     except gen2.WordPtrRangeError:
-        return _reject(state, ErrorCode.BAD_WORDPTR)
+        return state, Nak(ErrorCode.BAD_WORDPTR), False
     except (gen2.UnknownDiscriminatorError, gen2.FrameFormatError):
-        return state, None
+        return state, None, False
 
     if isinstance(view, gen2.TagPrivilege):
         state.nvm.firmware_update_flag = True
-        _clear_volatile(state)
-        state.reset_scheduled = True
-        return state, Ack("privilege")
+        return state, Ack("privilege"), True
 
     if isinstance(view, gen2.BlockWrite) and view.membank == 0:
         if view.wordptr != SETUP_WORDPTR:
-            return _reject(state, ErrorCode.BAD_WORDPTR)
+            return state, Nak(ErrorCode.BAD_WORDPTR), False
         if state.mode is not TokenMode.KEY_READY:
-            return _reject(state, ErrorCode.BAD_MODE)
+            return state, Nak(ErrorCode.BAD_MODE), False
         if len(view.words) != 4:
-            return _reject(state, ErrorCode.BAD_SETUP)
-        state.pending_setup = UpdateSetup.from_words(view.words)
-        return state, Ack("setup")
+            return state, Nak(ErrorCode.BAD_SETUP), False
+        state.setup = UpdateSetup.from_words(view.words)
+        return state, Ack("setup"), False
 
     if isinstance(view, gen2.Authenticate):
         if state.mode is not TokenMode.KEY_READY:
-            return _reject(state, ErrorCode.BAD_MODE, reset=True)
-        setup = state.pending_setup
+            return state, Nak(ErrorCode.BAD_MODE), True
+        setup = state.setup
         if setup is None:
-            return _reject(state, ErrorCode.BAD_SETUP, reset=True)
+            return state, Nak(ErrorCode.BAD_SETUP), True
         if view.csi != CSI_CMAC_AES128 or setup.method != METHOD_CMAC_AES128:
-            return _reject(state, ErrorCode.BAD_METHOD, reset=True)
+            return state, Nak(ErrorCode.BAD_METHOD), True
         area_bytes = len(state.nvm.download_area)
         if setup.start_word >= area_bytes // 2:
-            return _reject(state, ErrorCode.BAD_WORDPTR, reset=True)
+            return state, Nak(ErrorCode.BAD_WORDPTR), True
         if setup.size <= 0 or 2 * setup.start_word + setup.size > area_bytes:
-            return _reject(state, ErrorCode.SIZE_TOO_LARGE, reset=True)
+            return state, Nak(ErrorCode.SIZE_TOO_LARGE), True
         off = 2 * setup.start_word
         state.nvm.download_area[off : off + setup.size] = bytes(setup.size)
-        state.update = setup
-        state.pending_setup = None
         state.mode = TokenMode.FIRMWARE_UPDATE
-        return state, state.auth
+        return state, state.auth, False
 
     if isinstance(view, gen2.BlockWrite):   # membank 1..3: data-plane write
         if view.membank != 3:
-            return _reject(state, ErrorCode.BAD_WORDPTR)
+            return state, Nak(ErrorCode.BAD_WORDPTR), False
         if state.mode is not TokenMode.FIRMWARE_UPDATE:
-            return _reject(state, ErrorCode.BAD_MODE)
+            return state, Nak(ErrorCode.BAD_MODE), False
         area_words = len(state.nvm.download_area) // 2
         if view.wordptr + len(view.words) > area_words:
-            return _reject(state, ErrorCode.BAD_WORDPTR)
+            return state, Nak(ErrorCode.BAD_WORDPTR), False
         off = 2 * view.wordptr
         state.nvm.download_area[off : off + 2 * len(view.words)] = struct.pack(
             f">{len(view.words)}H", *view.words
         )
-        return state, Ack("chunk")
+        return state, Ack("chunk"), False
 
     if isinstance(view, gen2.SecureComm):
-        if state.mode is not TokenMode.FIRMWARE_UPDATE or state.update is None:
-            return _reject(state, ErrorCode.BAD_MODE, reset=True)
-        assert state.key is not None and state.auth is not None
-        setup = state.update
+        if state.mode is not TokenMode.FIRMWARE_UPDATE:
+            return state, Nak(ErrorCode.BAD_MODE), True
+        setup = state.setup
         s_prime = mac.sc_decrypt(view.ciphertext, state.key)
         off = 2 * setup.start_word
         received = bytes(state.nvm.download_area[off : off + setup.size])
-        if mac.mac_firmware(received, state.auth.nonce, state.key) == s_prime:
-            commit_firmware(state)
-            return state, Ack("commit")
-        state.reset_scheduled = True
-        return state, Nak(ErrorCode.MAC_MISMATCH)
+        if mac.mac_firmware(received, state.auth.nonce, state.key) != s_prime:
+            return state, Nak(ErrorCode.MAC_MISMATCH), True
+        state.nvm.app_area[off : off + setup.size] = received
+        state.nvm.firmware_update_flag = False
+        return state, Ack("commit"), True
 
-    return state, None
+    return state, None, False
 
 
 # ------------------------------------------------------------- simulation
@@ -386,11 +352,10 @@ class TokenSim:
 
     def _frame_ops(self, frame: gen2.Gen2Frame) -> tuple[powersim.PlanOp, ...]:
         """A frame's handling, plus the tag check of a SecureComm in an update."""
-        setup = self.state.update
-        if setup is not None:
+        if self.state.mode is TokenMode.FIRMWARE_UPDATE:
             try:
                 if isinstance(gen2.decode(frame), gen2.SecureComm):
-                    return (powersim.FRAME, powersim.mac_op(setup.size + 16))
+                    return (powersim.FRAME, powersim.mac_op(self.state.setup.size + 16))
             except ValueError:   # token_handle ignores or rejects the frame
                 pass
         return (powersim.FRAME,)
@@ -413,9 +378,7 @@ class TokenSim:
 
     def inject_brownout(self) -> None:
         """Supply dipped below the operating threshold mid-session."""
-        _clear_volatile(self.state)
-        self.state.mode = TokenMode.HALTED
-        self.state.reset_scheduled = False
+        self.state = TokenState(TokenMode.HALTED, self.nvm)
         self.brownout_pending = True
 
     def deliver(self, frame: gen2.Gen2Frame) -> Reply:
@@ -423,8 +386,8 @@ class TokenSim:
             return None
         if self.energy is not None and not self._run(self._frame_ops(frame)):
             return None
-        self.state, reply = token_handle(self.state, frame)
-        if self.state.reset_scheduled:
+        self.state, reply, reset = token_handle(self.state, frame)
+        if reset:
             self.power_cycle()
         return reply
 

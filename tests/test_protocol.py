@@ -1,8 +1,10 @@
 import random
+import struct
 
 import pytest
 
 from crfidsim import bch, enroll, fuzzy, gen2, mac, protocol, puf
+from test_gen2 import raw_frame
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,14 @@ class TestTokenBoot:
         assert sim.auth.challenge == st.auth.challenge
         assert sim.auth.helper == st.auth.helper
 
+    @pytest.mark.parametrize("temp", [protocol.TEMP_LEGAL_MIN, protocol.TEMP_LEGAL_MAX])
+    def test_update_boot_at_legal_bounds_derives_key(self, enrolled, temp):
+        dev, record, _ = enrolled
+        nvm = protocol.TokenNvm(crp_map=record.crp_map, firmware_update_flag=True)
+        st = protocol.token_boot(dev, nvm, temp, boot_seed=1)
+        assert st.mode is protocol.TokenMode.KEY_READY
+        assert st.key is not None and len(st.key) == 16
+
     @pytest.mark.parametrize("temp", [50.0, -5.0, 40.1])
     def test_over_temperature_halts_without_key(self, enrolled, temp):
         dev, record, _ = enrolled
@@ -193,6 +203,17 @@ class TestTokenHandle:
             membank=0, wordptr=protocol.SETUP_WORDPTR, words=setup.to_words()))
         assert reply == protocol.Nak(protocol.ErrorCode.BAD_MODE)
 
+    @pytest.mark.parametrize("wordptr,words,code", [
+        (protocol.SETUP_WORDPTR + 1, (0, 8, 0, 0x100), protocol.ErrorCode.BAD_WORDPTR),
+        (protocol.SETUP_WORDPTR, (0, 8, 0), protocol.ErrorCode.BAD_SETUP),
+    ], ids=["wrong-wordptr", "three-words"])
+    def test_malformed_setup_rejected(self, enrolled, wordptr, words, code):
+        token = fresh_token(enrolled)
+        ch = protocol.Channel(token)
+        assert isinstance(send(ch, gen2.TagPrivilege()), protocol.Ack)
+        reply = send(ch, gen2.BlockWrite(membank=0, wordptr=wordptr, words=words))
+        assert reply == protocol.Nak(code)
+
     def test_authenticate_without_setup(self, enrolled):
         token = fresh_token(enrolled)
         ch = protocol.Channel(token)
@@ -202,23 +223,51 @@ class TestTokenHandle:
 
     def test_authenticate_happy_path(self, enrolled):
         token = fresh_token(enrolled)
+        stale = b"\xa5" * len(token.nvm.download_area)
+        token.nvm.download_area[:] = stale
         ch = protocol.Channel(token)
         reply = open_update(ch, size=64)
         assert isinstance(reply, protocol.AuthReply)
         assert len(reply.nonce) == 16
         assert len(reply.helper) == 15
         assert token.state.mode is protocol.TokenMode.FIRMWARE_UPDATE
+        # the setup's range is zeroed, and nothing past it is touched
         assert bytes(token.nvm.download_area[:64]) == bytes(64)
+        assert bytes(token.nvm.download_area[64:]) == stale[64:]
+
+    def test_authenticate_in_update_resets(self, enrolled):
+        token = fresh_token(enrolled)
+        ch = protocol.Channel(token)
+        assert isinstance(open_update(ch, size=64), protocol.AuthReply)
+        boots, key = token.boot_count, token.state.key
+        reply = send(ch, gen2.Authenticate(csi=protocol.CSI_CMAC_AES128))
+        assert reply == protocol.Nak(protocol.ErrorCode.BAD_MODE)
+        assert token.boot_count == boots + 1
+        assert token.state.key != key
 
     def test_oversized_setup_rejected(self, enrolled):
         token = fresh_token(enrolled)
         reply = open_update(protocol.Channel(token), size=8193)
         assert reply == protocol.Nak(protocol.ErrorCode.SIZE_TOO_LARGE)
+        assert token.boot_count == 3   # every Authenticate NAK resets
+
+    def test_empty_setup_rejected(self, enrolled):
+        token = fresh_token(enrolled)
+        reply = open_update(protocol.Channel(token), size=0)
+        assert reply == protocol.Nak(protocol.ErrorCode.SIZE_TOO_LARGE)
+
+    def test_start_word_past_area_rejected(self, enrolled):
+        token = fresh_token(enrolled)
+        area_words = len(token.nvm.download_area) // 2
+        reply = open_update(protocol.Channel(token), size=1, start_word=area_words)
+        assert reply == protocol.Nak(protocol.ErrorCode.BAD_WORDPTR)
+        assert token.boot_count == 3
 
     def test_bad_method_rejected(self, enrolled):
         token = fresh_token(enrolled)
         reply = open_update(protocol.Channel(token), size=64, method=7)
         assert reply == protocol.Nak(protocol.ErrorCode.BAD_METHOD)
+        assert token.boot_count == 3
 
     def test_chunk_write_needs_update_mode(self, enrolled):
         token = fresh_token(enrolled)
@@ -246,6 +295,12 @@ class TestTokenHandle:
         reply = send(ch, gen2.SecureComm(inner_wordptr=0, ciphertext=bytes(16)))
         assert reply == protocol.Nak(protocol.ErrorCode.BAD_MODE)
 
+    def test_inner_wordptr_past_area_rejected(self, enrolled):
+        token = fresh_token(enrolled)
+        words = (gen2.DOWNLOAD_WORDS,) + tuple(range(8))
+        frame = raw_frame(membank=0, wordptr=gen2.WORDPTR_SECURECOMM, words=words)
+        assert token.deliver(frame) == protocol.Nak(protocol.ErrorCode.BAD_WORDPTR)
+
     def test_bad_crc_is_silence(self, enrolled):
         token = fresh_token(enrolled)
         frame = gen2.encode(gen2.TagPrivilege(), 0x1000)
@@ -258,10 +313,110 @@ class TestTokenHandle:
         assert token.state.mode is protocol.TokenMode.HALTED
         assert send(protocol.Channel(token), gen2.TagPrivilege()) is None
 
-    def test_commit_guarded(self, enrolled):
-        token = fresh_token(enrolled)
-        with pytest.raises(ValueError):
-            protocol.commit_firmware(token.state)
+
+M = protocol.TokenMode
+E = protocol.ErrorCode
+TABLE_SETUP = protocol.UpdateSetup(size=8, start_word=0,
+                                   method=protocol.METHOD_CMAC_AES128)
+TABLE_CHUNK = (0x0102, 0x0304, 0x0506, 0x0708)
+# the frames that take a KEY_READY token to each state below it
+TABLE_OPENING = (
+    gen2.BlockWrite(membank=0, wordptr=protocol.SETUP_WORDPTR,
+                    words=TABLE_SETUP.to_words()),
+    gen2.Authenticate(csi=protocol.CSI_CMAC_AES128),
+    gen2.BlockWrite(membank=3, wordptr=0, words=TABLE_CHUNK),
+)
+TABLE_STATES = {   # name: (temperature, update flag, opening frames)
+    "halted": (55.0, True, 0),
+    "user_code": (25.0, False, 0),
+    "key_ready": (25.0, True, 0),
+    "key_ready_setup": (25.0, True, 1),
+    "firmware_update": (25.0, True, 3),
+}
+TABLE = [   # state, command, next mode, reply ("auth": the boot's AuthReply), reset
+    ("halted", "privilege", M.HALTED, None, False),
+    ("halted", "setup", M.HALTED, None, False),
+    ("halted", "authenticate", M.HALTED, None, False),
+    ("halted", "chunk", M.HALTED, None, False),
+    ("halted", "good_tag", M.HALTED, None, False),
+    ("halted", "bad_tag", M.HALTED, None, False),
+    ("user_code", "privilege", M.USER_CODE, protocol.Ack("privilege"), True),
+    ("user_code", "setup", M.USER_CODE, protocol.Nak(E.BAD_MODE), False),
+    ("user_code", "authenticate", M.USER_CODE, protocol.Nak(E.BAD_MODE), True),
+    ("user_code", "chunk", M.USER_CODE, protocol.Nak(E.BAD_MODE), False),
+    ("user_code", "good_tag", M.USER_CODE, protocol.Nak(E.BAD_MODE), True),
+    ("user_code", "bad_tag", M.USER_CODE, protocol.Nak(E.BAD_MODE), True),
+    ("key_ready", "privilege", M.KEY_READY, protocol.Ack("privilege"), True),
+    ("key_ready", "setup", M.KEY_READY, protocol.Ack("setup"), False),
+    ("key_ready", "authenticate", M.KEY_READY, protocol.Nak(E.BAD_SETUP), True),
+    ("key_ready", "chunk", M.KEY_READY, protocol.Nak(E.BAD_MODE), False),
+    ("key_ready", "good_tag", M.KEY_READY, protocol.Nak(E.BAD_MODE), True),
+    ("key_ready", "bad_tag", M.KEY_READY, protocol.Nak(E.BAD_MODE), True),
+    ("key_ready_setup", "privilege", M.KEY_READY, protocol.Ack("privilege"), True),
+    ("key_ready_setup", "setup", M.KEY_READY, protocol.Ack("setup"), False),
+    ("key_ready_setup", "authenticate", M.FIRMWARE_UPDATE, "auth", False),
+    ("key_ready_setup", "chunk", M.KEY_READY, protocol.Nak(E.BAD_MODE), False),
+    ("key_ready_setup", "good_tag", M.KEY_READY, protocol.Nak(E.BAD_MODE), True),
+    ("key_ready_setup", "bad_tag", M.KEY_READY, protocol.Nak(E.BAD_MODE), True),
+    ("firmware_update", "privilege", M.FIRMWARE_UPDATE, protocol.Ack("privilege"), True),
+    ("firmware_update", "setup", M.FIRMWARE_UPDATE, protocol.Nak(E.BAD_MODE), False),
+    ("firmware_update", "authenticate", M.FIRMWARE_UPDATE, protocol.Nak(E.BAD_MODE),
+     True),
+    ("firmware_update", "chunk", M.FIRMWARE_UPDATE, protocol.Ack("chunk"), False),
+    ("firmware_update", "good_tag", M.FIRMWARE_UPDATE, protocol.Ack("commit"), True),
+    ("firmware_update", "bad_tag", M.FIRMWARE_UPDATE, protocol.Nak(E.MAC_MISMATCH),
+     True),
+]
+
+
+def table_state(enrolled, name):
+    dev, record, _ = enrolled
+    temperature, flag, opening = TABLE_STATES[name]
+    nvm = protocol.TokenNvm(crp_map=record.crp_map, firmware_update_flag=flag)
+    state = protocol.token_boot(dev, nvm, temperature, boot_seed=1)
+    for view in TABLE_OPENING[:opening]:
+        state, reply, reset = protocol.token_handle(state, gen2.encode(view, rn=0))
+        assert not isinstance(reply, protocol.Nak) and not reset
+    return state
+
+
+def table_command(enrolled, name):
+    if name.endswith("_tag"):
+        # the tag over TABLE_CHUNK that the firmware_update state accepts
+        state = table_state(enrolled, "firmware_update")
+        image = bytes(state.nvm.download_area[: TABLE_SETUP.size])
+        ct = bytearray(mac.sc_encrypt(
+            mac.mac_firmware(image, state.auth.nonce, state.key), state.key))
+        if name == "bad_tag":
+            ct[0] ^= 0x01
+        return gen2.SecureComm(inner_wordptr=0, ciphertext=bytes(ct))
+    return {
+        "privilege": gen2.TagPrivilege(),
+        "setup": TABLE_OPENING[0],
+        "authenticate": TABLE_OPENING[1],
+        "chunk": TABLE_OPENING[2],
+    }[name]
+
+
+@pytest.mark.parametrize("state_name,command,mode,expected,reset", TABLE,
+                         ids=[f"{row[0]}-{row[1]}" for row in TABLE])
+def test_token_handle_table(enrolled, state_name, command, mode, expected, reset):
+    """Every (state, command) pair: the next mode, the reply and the reset.
+    Only a good tag in FIRMWARE_UPDATE changes the application area."""
+    state = table_state(enrolled, state_name)
+    auth = state.auth
+    app = bytes(state.nvm.app_area)
+    frame = gen2.encode(table_command(enrolled, command), rn=0)
+    state, reply, did_reset = protocol.token_handle(state, frame)
+    assert state.mode is mode
+    assert reply == (auth if expected == "auth" else expected)
+    assert did_reset is reset
+    if reply == protocol.Ack("commit"):
+        image = struct.pack(">4H", *TABLE_CHUNK)
+        assert bytes(state.nvm.app_area) == image + app[len(image):]
+        assert not state.nvm.firmware_update_flag
+    else:
+        assert bytes(state.nvm.app_area) == app
 
 
 class TestEndToEnd:
