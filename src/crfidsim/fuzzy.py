@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -143,32 +142,18 @@ def coset_candidates(h: int, cfg: FeConfig) -> Iterator[int]:
             yield w
 
 
-# -------------------------------------------------------- Monte-Carlo kernel
-#
-# By linearity the enrolled response r drops out of a session's outcome.
-# The device publishes syn(r ^ e); the prover's syndrome delta is
-# syn(r) ^ syn(r ^ e) = syn(e), so it corrects r by leader = leaders[syn(e)]
-# and derives (r ^ leader) >> (n-k), while the device keeps (r ^ e) >> (n-k).
-# The keys agree iff (leader ^ e) >> (n-k) == 0 in every block, whatever r
-# is; the kernel therefore draws only the error masks e.
+def build_decode_tables(code: bch.BchParams) -> np.ndarray:
+    """Coset-leader table: (2^(n-k),) int64, the error mask of weight <= t
+    with each syndrome, -1 if none.
 
-@dataclass(frozen=True)
-class DecodeTables:
-    """Read-only decoding aids derived from the scalar codec."""
-
-    leaders: np.ndarray         # (2^(n-k),) int64 coset-leader bitmask, -1 if none
-    syndrome_bytes: np.ndarray  # (ceil(n/8), 256) int32, [j, b] = syndrome of b << 8j
-
-
-def build_decode_tables(code: bch.BchParams) -> DecodeTables:
+    No simulation path reads it. It is the exhaustive oracle that
+    tests/test_fuzzy.py checks bch.correct against, and bench/tracing.py
+    still names it as a traced target.
+    """
     nk = code.n - code.k
     if nk > 20:
         raise ValueError("coset-leader table too large for this code")
     unit = [bch.syndrome(1 << i, code) for i in range(code.n)]
-    syndrome_bytes = np.zeros(((code.n + 7) // 8, 256), dtype=np.int32)
-    for i, s in enumerate(unit):
-        j, bit = divmod(i, 8)
-        syndrome_bytes[j, (np.arange(256) >> bit) & 1 == 1] ^= s
     leaders = np.full(1 << nk, -1, dtype=np.int64)
     leaders[0] = 0
     for weight in range(1, code.t + 1):
@@ -182,14 +167,23 @@ def build_decode_tables(code: bch.BchParams) -> DecodeTables:
             assert leaders[idx] == -1
             leaders[idx] = mask
     leaders.flags.writeable = False
-    syndrome_bytes.flags.writeable = False
-    return DecodeTables(leaders=leaders, syndrome_bytes=syndrome_bytes)
+    return leaders
 
 
-@lru_cache(maxsize=None)
-def _decode_tables(code: bch.BchParams) -> DecodeTables:
-    return build_decode_tables(code)
-
+# -------------------------------------------------------- Monte-Carlo kernel
+#
+# By linearity the enrolled response r drops out of a session's outcome.
+# The device publishes syn(r ^ e); the prover's syndrome delta is
+# syn(r) ^ syn(r ^ e) = syn(e), so bch.correct either fails or corrects r by
+# some e' with syn(e') = syn(e), and the prover derives (r ^ e') >> (n-k)
+# while the device keeps (r ^ e) >> (n-k). e ^ e' is then a codeword, and a
+# nonzero codeword of a systematic code has nonzero information bits, so the
+# keys agree iff e' == e. A bounded-distance decoder returns e' == e exactly
+# when wt(e) <= t: the distance is at least 2t + 1, so e is then the only
+# word of weight <= t in its coset, and otherwise the word it returns (if
+# any) has weight <= t < wt(e). A session therefore fails exactly when some
+# block has more than t errors, whatever r is; the kernel draws only the
+# error masks e and counts their bits.
 
 def error_masks(rng: np.random.Generator, shape: tuple[int, ...], n: int,
                 ber: float) -> np.ndarray:
@@ -219,21 +213,11 @@ def run_sessions(e: np.ndarray, cfg: FeConfig) -> np.ndarray:
 
     e: int64 array of shape (sessions, blocks), the n-bit error mask of each
     block (the device reads r ^ e for an enrolled r). Returns a bool array
-    marking sessions whose recovery failed or produced a key different from
-    the device's.
+    marking sessions in which some block has more than t errors: exactly
+    those whose recovery failed or produced a key different from the
+    device's (see the comment at the head of this section).
     """
-    tables = _decode_tables(cfg.code)
-    # byte j of every mask, read in place through a little-endian byte view
-    octets = np.ascontiguousarray(e, dtype="<i8").view(np.uint8).reshape(e.shape + (8,))
-    syn = tables.syndrome_bytes[0].take(octets[..., 0])
-    for j in range(1, len(tables.syndrome_bytes)):
-        syn ^= tables.syndrome_bytes[j].take(octets[..., j])
-    # the key bits of leader ^ e must be 0; a missing leader (-1) xors to a
-    # negative number, which fails that test too
-    wrong = tables.leaders.take(syn)
-    wrong ^= e
-    wrong >>= cfg.code.n - cfg.code.k
-    return wrong.any(axis=1)
+    return (np.bitwise_count(e) > cfg.code.t).any(axis=1)
 
 
 @dataclass(frozen=True)

@@ -462,7 +462,7 @@ class Channel:
 def _image_words(data: bytes) -> list[int]:
     if len(data) % 2:
         data += b"\x00"
-    return [int.from_bytes(data[i : i + 2], "big") for i in range(0, len(data), 2)]
+    return list(struct.unpack(f">{len(data) // 2}H", data))
 
 
 def recover_key(record: enroll.EnrollmentRecord, auth: AuthReply) -> bytes:

@@ -1,4 +1,5 @@
-"""Hand-written mutants of the token, and a runner that shows Tier-1 kills each.
+"""Hand-written mutants of the token and of the Monte-Carlo kernel, and a runner
+that shows Tier-1 kills each.
 
 Each entry of MUTANTS is (module, exact old text, new text, name): one
 textual change to src/crfidsim/<module>.py. The runner copies src/, tests/,
@@ -123,6 +124,10 @@ MUTANTS = (
     ("protocol", "self.brownout_pending = True", "pass", "brownout-not-pending"),
     ("protocol", "if reset:\n            self.power_cycle()", "if False:\n            pass",
      "reset-ignored"),
+    # fuzzy.run_sessions: a session fails when some block has more than t errors
+    ("fuzzy", "np.bitwise_count(e) > cfg.code.t", "np.bitwise_count(e) >= cfg.code.t",
+     "mc-weight-at-t-fails"),
+    ("fuzzy", "cfg.code.t).any(axis=1)", "cfg.code.t).all(axis=1)", "mc-every-block-fails"),
 )
 
 

@@ -38,6 +38,16 @@ class TestFirmwareImage:
         }
         assert protocol.demo_images()["blinky"] == imgs["blinky"]
 
+    @pytest.mark.parametrize("data", [
+        *(img.data for img in protocol.demo_images().values()),
+        b"\x01", b"\xab\xcd", b"\x00\xff\x10", bytes(range(256)), bytes(range(255)),
+    ])
+    def test_image_words_big_endian_padded(self, data):
+        """Big-endian 16-bit words, an odd length padded with one zero byte."""
+        padded = data + b"\x00" * (len(data) % 2)
+        words = [int.from_bytes(padded[i : i + 2], "big") for i in range(0, len(padded), 2)]
+        assert protocol._image_words(data) == words
+
 
 class TestProverDb:
     def test_write_once(self, enrolled):
