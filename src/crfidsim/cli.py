@@ -204,22 +204,28 @@ def parse_tamper(rule: tuple[str, int | None],
                  image: protocol.FirmwareImage) -> TamperPolicy:
     """The channel policy of a (policy, index) rule as split by tamper_rule.
 
-    mac and chunk:<i> mutate that frame's payload (protocol.mutate_payload);
-    drop:<frame> drops the frame at that delivery index.
+    mac and chunk:<i> mutate that frame's payload (protocol.mutate_payload)
+    in every attempt, so a retry meets the same tamper; drop:<frame> drops
+    the frame at that delivery index.
     """
     kind, idx = rule
     chunks = math.ceil(image.total_bytes / (2 * CHUNK_WORDS))
-    last = 3 + chunks   # privilege, setup, auth, chunks...
+    last = 3 + chunks   # privilege, setup, auth, chunks..., then the tag
+
+    def every_attempt(frame: int) -> TamperPolicy:
+        return TamperPolicy(mutations=frozenset(
+            frame + a * (last + 1) for a in range(protocol.MAX_ATTEMPTS)))
+
     if idx is None:
         if kind == "none":
             return TamperPolicy()
         if kind == "mac":
-            return TamperPolicy(mutations=frozenset({last}))
+            return every_attempt(last)
         raise InputError(f"unknown tamper policy {kind!r}")
     if kind == "chunk":
         if not 0 <= idx < chunks:
             raise InputError(f"chunk index out of range in 'chunk:{idx}'")
-        return TamperPolicy(mutations=frozenset({3 + idx}))
+        return every_attempt(3 + idx)
     if not 0 <= idx <= last:
         raise InputError(f"frame index out of range in 'drop:{idx}'")
     return TamperPolicy(drops=frozenset({idx}))

@@ -252,6 +252,9 @@ def token_handle(
         return state, None, False
 
     if isinstance(view, gen2.TagPrivilege):
+        # this boot's key has not left the token: only Authenticate sends auth
+        if state.mode is TokenMode.KEY_READY and state.setup is None:
+            return state, Ack("privilege"), False
         state.nvm.firmware_update_flag = True
         return state, Ack("privilege"), True
 
@@ -485,60 +488,47 @@ def _run_attempt(
     image: FirmwareImage,
     channel: Channel,
     rng: random.Random,
-) -> UpdateOutcome:
-    def rn() -> int:
-        return rng.randrange(1 << 16)
+) -> tuple[UpdateOutcome, bool]:
+    """One attempt: its outcome, and whether a fresh boot could change it."""
+    def send(view: gen2.CommandView) -> Reply:
+        return channel.send(gen2.encode(view, rng.randrange(1 << 16)))
 
-    def fail_kind() -> UpdateOutcome:
+    def ended(reply: Reply) -> tuple[UpdateOutcome, bool]:
+        if isinstance(reply, Nak):   # a fresh key can only mend a tag mismatch
+            return UpdateOutcome.REJECTED_BY_TOKEN, reply.code is ErrorCode.MAC_MISMATCH
         if channel.token.brownout_pending:
-            return UpdateOutcome.BROWNOUT_ABORTED
-        return UpdateOutcome.TIMEOUT
-
-    reply = channel.send(gen2.encode(gen2.TagPrivilege(), rn()))
-    if not isinstance(reply, Ack):
-        return fail_kind()
+            return UpdateOutcome.BROWNOUT_ABORTED, True
+        return UpdateOutcome.TIMEOUT, False
 
     assembled = image.assemble()
-    setup = UpdateSetup(
-        size=len(assembled), start_word=START_WORD, method=METHOD_CMAC_AES128
-    )
-    reply = channel.send(gen2.encode(
-        gen2.BlockWrite(membank=0, wordptr=SETUP_WORDPTR, words=setup.to_words()),
-        rn(),
-    ))
-    if not isinstance(reply, Ack):
-        return fail_kind()
+    setup = UpdateSetup(len(assembled), START_WORD, METHOD_CMAC_AES128).to_words()
+    for view in (gen2.TagPrivilege(),
+                 gen2.BlockWrite(membank=0, wordptr=SETUP_WORDPTR, words=setup)):
+        reply = send(view)
+        if not isinstance(reply, Ack):
+            return ended(reply)
 
-    reply = channel.send(gen2.encode(gen2.Authenticate(csi=CSI_CMAC_AES128), rn()))
-    if isinstance(reply, Nak):
-        return UpdateOutcome.REJECTED_BY_TOKEN
-    if not isinstance(reply, AuthReply):
-        return fail_kind()
-    auth = reply
+    auth = send(gen2.Authenticate(csi=CSI_CMAC_AES128))
+    if not isinstance(auth, AuthReply):
+        return ended(auth)
     try:
         key = recover_key(record, auth)
     except fuzzy.KeyRecoveryFailure:
-        return UpdateOutcome.KEY_RECOVERY_FAILURE
+        return UpdateOutcome.KEY_RECOVERY_FAILURE, True
 
     words = _image_words(assembled)
     for i in range(0, len(words), CHUNK_WORDS):
-        chunk = gen2.BlockWrite(
-            membank=3,
-            wordptr=START_WORD + i,
-            words=tuple(words[i : i + CHUNK_WORDS]),
-        )
-        reply = channel.send(gen2.encode(chunk, rn()))
+        reply = send(gen2.BlockWrite(membank=3, wordptr=START_WORD + i,
+                                     words=tuple(words[i : i + CHUNK_WORDS])))
         if not isinstance(reply, Ack):
-            return fail_kind()
+            return ended(reply)
 
     tag = mac.mac_firmware(assembled, auth.nonce, key)
-    sc = gen2.SecureComm(inner_wordptr=START_WORD, ciphertext=mac.sc_encrypt(tag, key))
-    reply = channel.send(gen2.encode(sc, rn()))
+    reply = send(gen2.SecureComm(inner_wordptr=START_WORD,
+                                 ciphertext=mac.sc_encrypt(tag, key)))
     if isinstance(reply, Ack):
-        return UpdateOutcome.COMMITTED
-    if isinstance(reply, Nak):
-        return UpdateOutcome.REJECTED_BY_TOKEN
-    return fail_kind()
+        return UpdateOutcome.COMMITTED, False
+    return ended(reply)
 
 
 def prover_update(
@@ -548,17 +538,20 @@ def prover_update(
     channel: Channel,
     rng_seed: int = 0,
 ) -> UpdateOutcome:
-    """Drive a full update; fresh sessions retry transient key failures."""
+    """Drive a full update; a fresh boot retries a brownout, a key-recovery
+    failure or a tag mismatch, up to MAX_ATTEMPTS attempts in all.
+
+    Only a brownout leaves the token needing a field cycle: a NAK has
+    already reset it, and after a key-recovery failure the next
+    TagPrivilege does.
+    """
     record = db.get(token_id)
     rng = random.Random(rng_seed)
-    outcome = UpdateOutcome.TIMEOUT
-    for attempt in range(MAX_ATTEMPTS):
-        if attempt:
+    outcome = None
+    for _ in range(MAX_ATTEMPTS):
+        if outcome is UpdateOutcome.BROWNOUT_ABORTED:
             channel.reset_token()
-        outcome = _run_attempt(record, image, channel, rng)
-        if outcome not in (
-            UpdateOutcome.KEY_RECOVERY_FAILURE,
-            UpdateOutcome.BROWNOUT_ABORTED,
-        ):
-            return outcome
+        outcome, retry = _run_attempt(record, image, channel, rng)
+        if not retry:
+            break
     return outcome

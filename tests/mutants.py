@@ -1,5 +1,5 @@
-"""Hand-written mutants of the token and of the Monte-Carlo kernel, and a runner
-that shows Tier-1 kills each.
+"""Hand-written mutants of the token, the prover's retry and the Monte-Carlo
+kernel, and a runner that shows Tier-1 kills each.
 
 Each entry of MUTANTS is (module, exact old text, new text, name): one
 textual change to src/crfidsim/<module>.py. The runner copies src/, tests/,
@@ -43,6 +43,8 @@ MUTANTS = (
      "except gen2.WordPtrRangeError:\n        return state, None, False",
      "wordptr-range-silent"),
     # TagPrivilege
+    ("protocol", "if state.mode is TokenMode.KEY_READY and state.setup is None:",
+     "if False:", "privilege-key-ready-resets"),
     ("protocol", "state.nvm.firmware_update_flag = True", "pass", "privilege-no-flag"),
     ("protocol", 'Ack("privilege"), True', 'Ack("privilege"), False',
      "privilege-no-reset"),
@@ -124,6 +126,11 @@ MUTANTS = (
     ("protocol", "self.brownout_pending = True", "pass", "brownout-not-pending"),
     ("protocol", "if reset:\n            self.power_cycle()", "if False:\n            pass",
      "reset-ignored"),
+    # the prover: which endings a fresh boot retries, and when the field cycles
+    ("protocol", "reply.code is ErrorCode.MAC_MISMATCH", "False",
+     "mac-mismatch-not-retried"),
+    ("protocol", "if outcome is UpdateOutcome.BROWNOUT_ABORTED:",
+     "if outcome is not None:", "field-cycled-every-retry"),
     # fuzzy.run_sessions: a session fails when some block has more than t errors
     ("fuzzy", "np.bitwise_count(e) > cfg.code.t", "np.bitwise_count(e) >= cfg.code.t",
      "mc-weight-at-t-fails"),

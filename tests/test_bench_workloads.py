@@ -9,6 +9,8 @@ import importlib
 from itertools import islice
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -35,3 +37,17 @@ def test_update_tamper_units_pass_on_every_kind_and_frame(monkeypatch):
         for at in range(workloads.TAMPER_FRAMES)
     }
     assert [r.failed for r in results] == [0] * units
+
+
+@pytest.mark.parametrize("seed,index", [(1, 69_918), (2, 23_700)])
+def test_update_clean_silent_miscorrection_commits(monkeypatch, seed, index):
+    """The first main-stream unit of each seed whose first update boot has a
+    block that BCH decodes to a wrong word: the token's MAC_MISMATCH is
+    retried under a fresh boot (4 boots, not 3), and the unit passes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.UpdateClean(seed=seed)
+    inp = next(islice(workload.inputs("main"), index, None))
+    result = workload.run(workload.build(), inp)
+    assert result.failed == 0
+    assert (result.record["outcome"], result.record["boots"]) == ("COMMITTED", 4)

@@ -492,12 +492,12 @@ class TestPinnedOutputs:
           "transcript-1.txt": "c121f033f680a33f",
           "transcript-2.txt": "8888dd7300fedd43",
           "update.tsv": "58b67be70c50c073"}),
-        (("update", "--tamper", "mac"), 10, "47738816b74ab2c2",
-         {"transcript-0.txt": "6678097a434986ea",
-          "update.tsv": "9c4ef35584224bcf"}),
-        (("update", "--tamper", "chunk:1", "--seed", "5"), 10, "47738816b74ab2c2",
-         {"transcript-0.txt": "a72e7da1680c2a9b",
-          "update.tsv": "9c4ef35584224bcf"}),
+        (("update", "--tamper", "mac"), 10, "0c1efaa7cced7b74",
+         {"transcript-0.txt": "7a4e37d267a82bc3",
+          "update.tsv": "5ef3abe906d06e66"}),
+        (("update", "--tamper", "chunk:1", "--seed", "5"), 10, "0c1efaa7cced7b74",
+         {"transcript-0.txt": "7be03fb2c06db1b5",
+          "update.tsv": "5ef3abe906d06e66"}),
         (("update", "--tamper", "drop:4", "--seed", "6"), 13, "ca458686d11ccc8d",
          {"transcript-0.txt": "8408f6fe8199add6",
           "update.tsv": "0b4ff02e919e47b6"}),

@@ -356,7 +356,7 @@ TABLE = [   # state, command, next mode, reply ("auth": the boot's AuthReply), r
     ("user_code", "chunk", M.USER_CODE, protocol.Nak(E.BAD_MODE), False),
     ("user_code", "good_tag", M.USER_CODE, protocol.Nak(E.BAD_MODE), True),
     ("user_code", "bad_tag", M.USER_CODE, protocol.Nak(E.BAD_MODE), True),
-    ("key_ready", "privilege", M.KEY_READY, protocol.Ack("privilege"), True),
+    ("key_ready", "privilege", M.KEY_READY, protocol.Ack("privilege"), False),
     ("key_ready", "setup", M.KEY_READY, protocol.Ack("setup"), False),
     ("key_ready", "authenticate", M.KEY_READY, protocol.Nak(E.BAD_SETUP), True),
     ("key_ready", "chunk", M.KEY_READY, protocol.Nak(E.BAD_MODE), False),
@@ -412,15 +412,17 @@ def table_command(enrolled, name):
                          ids=[f"{row[0]}-{row[1]}" for row in TABLE])
 def test_token_handle_table(enrolled, state_name, command, mode, expected, reset):
     """Every (state, command) pair: the next mode, the reply and the reset.
-    Only a good tag in FIRMWARE_UPDATE changes the application area."""
+    Only a good tag in FIRMWARE_UPDATE changes the application area, and
+    only a reset changes the key."""
     state = table_state(enrolled, state_name)
-    auth = state.auth
+    auth, key = state.auth, state.key
     app = bytes(state.nvm.app_area)
     frame = gen2.encode(table_command(enrolled, command), rn=0)
     state, reply, did_reset = protocol.token_handle(state, frame)
     assert state.mode is mode
     assert reply == (auth if expected == "auth" else expected)
     assert did_reset is reset
+    assert state.key == key
     if reply == protocol.Ack("commit"):
         image = struct.pack(">4H", *TABLE_CHUNK)
         assert bytes(state.nvm.app_area) == image + app[len(image):]
@@ -486,27 +488,90 @@ class TestEndToEnd:
         assert bytes(token.nvm.app_area[: len(data)]) == data
 
 
-def test_silent_miscorrection_rejected_without_retry():
-    """A block past t that BCH decodes to a wrong codeword: recover_key
-    returns a wrong key instead of raising, so the prover cannot retry and
-    the token rejects the tag. Device 7 of bench's seed-2 update-clean fleet,
-    at its main-stream session index 23,700."""
+@pytest.fixture(scope="module")
+def miscorrecting():
+    """Device 7 of bench's seed-2 update-clean fleet. At its main-stream
+    session index 23,700 (33.14 C, session seed 23,701), the first update
+    boot has a block past t that BCH decodes to a wrong codeword."""
     dev = puf.synth_device(seed=423903237)
     record = enroll.enroll_device(dev, "dev-7")
     db = protocol.ProverDb()
     db.add(record)
+    return dev, record, db
+
+
+MISCORRECTED_IMAGE = protocol.demo_images()["blinky"]
+
+
+def miscorrected_session(miscorrecting, channel_type=protocol.Channel):
+    dev, record, db = miscorrecting
     token = protocol.TokenSim(dev, record.crp_map, temperature=33.14,
                               session_seed=23701)
-    channel = protocol.Channel(token)
-    out = protocol.prover_update(db, "dev-7", protocol.demo_images()["blinky"],
-                                 channel, rng_seed=1839324821)
-    assert out is protocol.UpdateOutcome.REJECTED_BY_TOKEN
-    assert (token.boot_count, channel.counter) == (3, 11)
-    assert not any(token.nvm.app_area)
+    channel = channel_type(token)
+    out = protocol.prover_update(db, "dev-7", MISCORRECTED_IMAGE, channel,
+                                 rng_seed=1839324821)
+    return token, channel, out
+
+
+def test_silent_miscorrection_retried(miscorrecting):
+    """recover_key returns a wrong key instead of raising, so the token
+    answers the tag with MAC_MISMATCH and resets. The prover retries under
+    that reset's boot, which TagPrivilege keeps: 4 boots (power-on,
+    privilege, the NAK's reset, the commit's reset) and two 11-frame
+    attempts."""
+    dev, record, _ = miscorrecting
+    token, channel, out = miscorrected_session(miscorrecting)
+    assert out is protocol.UpdateOutcome.COMMITTED
+    data = MISCORRECTED_IMAGE.data
+    assert bytes(token.nvm.app_area) == data + bytes(len(token.nvm.app_area) - len(data))
+    assert (token.boot_count, channel.counter) == (4, 22)
 
     nvm = protocol.TokenNvm(crp_map=record.crp_map, firmware_update_flag=True)
     st = protocol.token_boot(dev, nvm, 33.14, boot_seed=23701 * 100_000 + 2)
     assert protocol.recover_key(record, st.auth) != st.key
+
+
+class KeyWitness(protocol.Channel):
+    """Notes the (boot, key) that answers each Authenticate, and the pair
+    each SecureComm is checked under next to the latest answer."""
+
+    def __init__(self, token):
+        super().__init__(token)
+        self.auths = []
+        self.tags = []
+
+    def send(self, frame):
+        if isinstance(gen2.decode(frame), gen2.SecureComm):
+            self.tags.append(((self.token.boot_count, self.token.state.key),
+                              self.auths[-1]))
+        reply = super().send(frame)
+        if isinstance(reply, protocol.AuthReply):
+            self.auths.append((self.token.boot_count, self.token.state.key))
+        return reply
+
+
+class BrownoutWitness(KeyWitness):
+    def send(self, frame):
+        if self.counter == 5:
+            self.token.inject_brownout()
+        return super().send(frame)
+
+
+@pytest.mark.parametrize("retry", ["mac-mismatch", "brownout"])
+def test_commit_after_retry_uses_the_answering_boots_key(enrolled, miscorrecting, retry):
+    """No commit under an earlier boot's key: every tag is checked under the
+    boot that answered its attempt's Authenticate, and the committing boot
+    is not the first attempt's."""
+    if retry == "mac-mismatch":
+        _, channel, out = miscorrected_session(miscorrecting, KeyWitness)
+    else:
+        channel = BrownoutWitness(fresh_token(enrolled, session_seed=50))
+        out = protocol.prover_update(enrolled[2], 11, IMAGE, channel)
+    assert out is protocol.UpdateOutcome.COMMITTED
+    assert len(channel.auths) == 2
+    assert all(checked == answered for checked, answered in channel.tags)
+    assert channel.tags[-1][0] == channel.auths[-1]
+    assert channel.auths[-1][0] > channel.auths[0][0]
 
 
 class TestTamperAndReplay:
@@ -520,6 +585,43 @@ class TestTamperAndReplay:
                 out = protocol.prover_update(db, 11, IMAGE, ch)
                 assert out is not protocol.UpdateOutcome.COMMITTED
                 assert bytes(token.nvm.app_area) == bytes(len(token.nvm.app_area))
+
+    def test_image_tampered_in_every_attempt_rejected(self, enrolled):
+        """A chunk mutated in each attempt fails each tag check: the prover
+        stops after MAX_ATTEMPTS SecureComm deliveries."""
+        _, _, db = enrolled
+        frames = 8   # boot-shim: privilege, setup, authenticate, 4 chunks, tag
+        policy = protocol.TamperPolicy(mutations=frozenset(
+            4 + a * frames for a in range(protocol.MAX_ATTEMPTS)))
+        token = fresh_token(enrolled, session_seed=33)
+        ch = protocol.Channel(token, policy)
+        out = protocol.prover_update(db, 11, IMAGE, ch)
+        assert out is protocol.UpdateOutcome.REJECTED_BY_TOKEN
+        tags = [f for f in ch.frames if isinstance(gen2.decode(f), gen2.SecureComm)]
+        assert len(tags) == protocol.MAX_ATTEMPTS
+        assert ch.counter == protocol.MAX_ATTEMPTS * frames
+        assert bytes(token.nvm.app_area) == bytes(len(token.nvm.app_area))
+
+    def test_setup_nak_is_a_rejection(self, enrolled):
+        """A NAK to the setup write ends the session: a fresh boot cannot
+        change BAD_WORDPTR."""
+        _, _, db = enrolled
+
+        class SetupMoved(protocol.Channel):
+            def send(self, frame):
+                view = gen2.decode(frame)
+                if isinstance(view, gen2.BlockWrite) and view.membank == 0:
+                    frame = gen2.encode(gen2.BlockWrite(
+                        membank=0, wordptr=protocol.SETUP_WORDPTR + 1,
+                        words=view.words), rn=0)
+                return super().send(frame)
+
+        token = fresh_token(enrolled)
+        ch = SetupMoved(token)
+        out = protocol.prover_update(db, 11, IMAGE, ch)
+        assert out is protocol.UpdateOutcome.REJECTED_BY_TOKEN
+        assert ch.counter == 2
+        assert bytes(token.nvm.app_area) == bytes(len(token.nvm.app_area))
 
     def test_dropped_frame_times_out(self, enrolled):
         _, _, db = enrolled
