@@ -19,10 +19,12 @@ import argparse
 import math
 import random
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from . import bch, enroll, fuzzy, powersim, protocol, puf
-from .protocol import CHUNK_WORDS, TamperPolicy, UpdateOutcome
+from . import bch, enroll, fuzzy, gen2, powersim, protocol, puf
+from .protocol import CHUNK_WORDS, START_WORD, TamperPolicy, UpdateOutcome
 
 EXIT_OK = 0
 EXIT_INPUT = 3
@@ -200,35 +202,44 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- update
 
-def parse_tamper(rule: tuple[str, int | None],
-                 image: protocol.FirmwareImage) -> TamperPolicy:
-    """The channel policy of a (policy, index) rule as split by tamper_rule.
+class Relay(protocol.Channel):
+    """Mutates (protocol.mutate_payload) every frame whose decoded view hit() picks."""
 
-    mac and chunk:<i> mutate that frame's payload (protocol.mutate_payload)
-    in every attempt, so a retry meets the same tamper; drop:<frame> drops
-    the frame at that delivery index.
+    def __init__(self, token: protocol.TokenSim,
+                 hit: Callable[[gen2.CommandView], bool]) -> None:
+        super().__init__(token)
+        self.hit = hit
+
+    def send(self, frame: gen2.Gen2Frame) -> protocol.Reply:
+        if self.hit(gen2.decode(frame)):
+            frame = protocol.mutate_payload(frame)
+        return super().send(frame)
+
+
+def parse_tamper(rule: tuple[str, int | None], image: protocol.FirmwareImage
+                 ) -> Callable[[protocol.TokenSim], protocol.Channel]:
+    """The channel factory of a (policy, index) rule as split by tamper_rule.
+
+    mac and chunk:<i> mutate that frame's payload in every attempt,
+    wherever that frame falls, so a retry meets the same tamper;
+    drop:<frame> drops the frame at that delivery index.
     """
     kind, idx = rule
     chunks = math.ceil(image.total_bytes / (2 * CHUNK_WORDS))
-    last = 3 + chunks   # privilege, setup, auth, chunks..., then the tag
-
-    def every_attempt(frame: int) -> TamperPolicy:
-        return TamperPolicy(mutations=frozenset(
-            frame + a * (last + 1) for a in range(protocol.MAX_ATTEMPTS)))
-
     if idx is None:
         if kind == "none":
-            return TamperPolicy()
+            return protocol.Channel
         if kind == "mac":
-            return every_attempt(last)
+            return partial(Relay, hit=lambda view: isinstance(view, gen2.SecureComm))
         raise InputError(f"unknown tamper policy {kind!r}")
     if kind == "chunk":
         if not 0 <= idx < chunks:
             raise InputError(f"chunk index out of range in 'chunk:{idx}'")
-        return every_attempt(3 + idx)
-    if not 0 <= idx <= last:
+        return partial(Relay, hit=lambda view: isinstance(view, gen2.BlockWrite) and
+                       view.membank == 3 and view.wordptr == START_WORD + idx * CHUNK_WORDS)
+    if not 0 <= idx <= 3 + chunks:   # privilege, setup, auth, chunks..., then the tag
         raise InputError(f"frame index out of range in 'drop:{idx}'")
-    return TamperPolicy(drops=frozenset({idx}))
+    return partial(protocol.Channel, policy=TamperPolicy(drops=frozenset({idx})))
 
 
 def cmd_update(args: argparse.Namespace) -> int:
@@ -239,21 +250,19 @@ def cmd_update(args: argparse.Namespace) -> int:
     db = protocol.ProverDb()
     db.add(record)
     image = load_image(args.image)
-    policy = parse_tamper(args.tamper, image)
+    make_channel = parse_tamper(args.tamper, image)
 
     lines = ["# update", "trial\toutcome\tframes\tlatency_ms"]
     committed = 0
     exit_code = EXIT_OK
     for trial in range(args.trials):
-        harvest = None
-        if args.distance_cm is not None:
-            harvest = powersim.Harvest(args.distance_cm, args.sleep_ms,
-                                       powersim.draw_kappa(args.seed, trial))
+        harvest = None if args.distance_cm is None else powersim.Harvest(
+            args.distance_cm, args.sleep_ms, powersim.draw_kappa(args.seed, trial))
         token = protocol.TokenSim(
             device, record.crp_map, session_seed=args.seed * 1000 + trial,
             harvest=harvest,
         )
-        channel = protocol.Channel(token, policy)
+        channel = make_channel(token)
         outcome = protocol.prover_update(db, token_id, image, channel)
         committed += outcome is UpdateOutcome.COMMITTED
         # a powered token's own clock: each charge, boot and frame of all attempts
@@ -277,34 +286,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = fuzzy.FeConfig(code=args.code, blocks=args.blocks)
     base = 9_000_000 + args.seed * 10_000
 
+    nominal = enroll.NOMINAL_TEMP
     lines = ["# ber_vs_temperature", "temperature_c\traw_ber\tpipeline_ber"]
-    lo, hi = enroll.ELIGIBLE_CELLS
-
-    def eligible(temp: float, trial_seed: int):
-        return puf.readout_cells(device, temp, trial_seed, lo, hi)
-
-    ref_region = eligible(enroll.NOMINAL_TEMP, base)
+    (ref_region,) = enroll.eligible_reads(device, [nominal], 1, base)
     for i, temp in enumerate((0.0, 10.0, 25.0, 40.0)):
-        trials = [eligible(temp, base + 100 * (i + 1) + j) for j in range(args.trials)]
+        trials = enroll.eligible_reads(device, [temp], args.trials, base + 100 * (i + 1))
         raw = puf.ber(ref_region, trials)
-        pipe = enroll.measure_pipeline_ber(
-            device, record, temperatures=(temp,),
-            trials_per_temp=args.trials, trial_seed_base=base + 10_000 * (i + 1),
-        )
+        pipe = enroll.measure_pipeline_ber(device, record, (temp,), args.trials,
+                                           base + 10_000 * (i + 1))
         lines.append(f"{temp:g}\t{raw:.6g}\t{pipe:.6g}")
 
-    lines += ["# bias", "stage\tmean_one_prob"]
-    raw_reads = [eligible(enroll.NOMINAL_TEMP, base + 900 + j) for j in range(args.trials)]
-    raw_bias = puf.bias(raw_reads)
-    ones = 0
-    for j in range(args.trials):
-        cells = eligible(enroll.NOMINAL_TEMP, base + 1300 + j)
-        for c in range(len(record.crp_map)):
-            ones += enroll.challenge_to_response(record.crp_map, c, cells,
-                                                 first_cell=lo).bit_count()
-    pipe_bias = ones / (args.trials * len(record.crp_map) * enroll.BLOCK_BITS)
-    lines.append(f"raw\t{raw_bias:.5f}")
-    lines.append(f"pipeline\t{pipe_bias:.5f}")
+    raw = enroll.eligible_reads(device, [nominal], args.trials, base + 900)
+    reads = enroll.eligible_reads(device, [nominal], args.trials, base + 1300)
+    pipe = enroll.response_bits(record.crp_map, reads, first_cell=enroll.ELIGIBLE_CELLS[0])
+    lines += ["# bias", "stage\tmean_one_prob",
+              f"raw\t{puf.bias(raw):.5f}", f"pipeline\t{puf.bias(pipe):.5f}"]
 
     lines += ["# p_fail_vs_ber", "ber\tp_fail"]
     for ber in (0.001, 0.0025, 0.005, 0.0075, 0.0094, 0.0125, 0.015, 0.02):

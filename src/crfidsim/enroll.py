@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,8 +53,14 @@ class CrpBlockMap:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_for_challenge(self, c: int) -> tuple[int, ...]:
-        return self.blocks[c % len(self.blocks)]
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Each block's cells in response-bit order, (blocks, BLOCK_BITS):
+        bytes in address order, bits LSB-first within a byte."""
+        return (8 * np.array(self.blocks)[:, :, None] + np.arange(8)).reshape(len(self), -1)
+
+    def cells_for_challenge(self, c: int) -> np.ndarray:
+        return self.cells[c % len(self)]
 
 
 @dataclass
@@ -113,21 +120,31 @@ def efficiency(crp_map: CrpBlockMap) -> float:
     return len(crp_map) * BLOCK_BITS / DEFAULT_LAYOUT.eligible_bits
 
 
+def _gather(bits: np.ndarray, cells: np.ndarray, first_cell: int) -> np.ndarray:
+    """bits[..., cells], where the last axis of bits holds the cells from first_cell on."""
+    cells = cells - first_cell
+    if cells.min() < 0 or cells.max() >= bits.shape[-1]:
+        raise ValueError("readout does not cover the mapped region")
+    return bits[..., cells]
+
+
 def challenge_to_response(
     crp_map: CrpBlockMap, c: int, readout_bits: np.ndarray, first_cell: int = 0
 ) -> int:
     """Resolve a challenge to its block's 248 response bits.
 
-    The block index is c modulo the block count; bytes are read in address
-    order, bits LSB-first within each byte. readout_bits holds the cells
-    from first_cell on, so a partial readout of the block's span will do.
+    The block index is c modulo the block count, and bit j is that block's
+    cell j (CrpBlockMap.cells). readout_bits holds the cells from
+    first_cell on, so a partial readout of the block's span will do.
     """
-    block = crp_map.block_for_challenge(c)
-    cells = (8 * np.array(block)[:, None] + np.arange(8)).ravel() - first_cell
-    bits = np.asarray(readout_bits)
-    if cells.min() < 0 or cells.max() >= bits.size:
-        raise ValueError("readout does not cover the mapped region")
-    return int.from_bytes(np.packbits(bits[cells], bitorder="little").tobytes(), "little")
+    bits = _gather(np.asarray(readout_bits), crp_map.cells_for_challenge(c), first_cell)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def response_bits(crp_map: CrpBlockMap, reads: np.ndarray, first_cell: int = 0) -> np.ndarray:
+    """Every block's response bits in every read, (reads, blocks, BLOCK_BITS):
+    each row of reads, flat or (bytes, 8), holds the cells from first_cell on."""
+    return _gather(np.asarray(reads).reshape(len(reads), -1), crp_map.cells, first_cell)
 
 
 def build_record(device_id: str, winnowed: dict[int, int], crp_map: CrpBlockMap) -> EnrollmentRecord:
@@ -136,50 +153,36 @@ def build_record(device_id: str, winnowed: dict[int, int], crp_map: CrpBlockMap)
     return EnrollmentRecord(device_id=device_id, crp_map=crp_map, references=references)
 
 
-def _eligible_reads(
+def eligible_reads(
     device: puf.PufDevice, temperatures: Sequence[float], per_temp: int, trial_seed_base: int
 ) -> np.ndarray:
     """Eligible-region readouts, per_temp at each temperature in turn and
     trial seeds counting up from trial_seed_base: (reads, bytes, 8)."""
     temps = [t for t in temperatures for _ in range(per_temp)]
-    rows = [puf.readout_cells(device, t, trial_seed_base + i, *ELIGIBLE_CELLS)
-            for i, t in enumerate(temps)]
-    return np.stack(rows).reshape(len(rows), ELIGIBLE_BYTES, 8)
+    return np.stack([puf.readout_cells(device, t, trial_seed_base + i, *ELIGIBLE_CELLS)
+                     for i, t in enumerate(temps)]).reshape(len(temps), ELIGIBLE_BYTES, 8)
 
 
 def enroll_device(device: puf.PufDevice, device_id: str) -> EnrollmentRecord:
     """Full pipeline against a live device model."""
     if device.num_cells < ELIGIBLE_CELLS[1]:
         raise InsufficientMaterialError("readout does not cover the eligible region")
-    corners = _eligible_reads(device, DEFAULT_CORNER_TEMPS, CORNER_READOUTS, TRIAL_SEED_BASE)
-    nominal = _eligible_reads(device, [NOMINAL_TEMP], NOMINAL_READOUTS,
+    corners = eligible_reads(device, DEFAULT_CORNER_TEMPS, CORNER_READOUTS, TRIAL_SEED_BASE)
+    nominal = eligible_reads(device, [NOMINAL_TEMP], NOMINAL_READOUTS,
                               TRIAL_SEED_BASE + 1000)
     winnowed = debias(pre_select(corners, nominal))
     crp_map = build_map(tuple(winnowed))
     return build_record(device_id, winnowed, crp_map)
 
 
-def measure_pipeline_ber(
-    device: puf.PufDevice,
-    record: EnrollmentRecord,
-    temperatures: Sequence[float] = DEFAULT_CORNER_TEMPS,
-    trials_per_temp: int = 5,
-    trial_seed_base: int = 500_000,
-) -> float:
+def measure_pipeline_ber(device: puf.PufDevice, record: EnrollmentRecord,
+                         temperatures: Sequence[float] = DEFAULT_CORNER_TEMPS,
+                         trials_per_temp: int = 5, trial_seed_base: int = 500_000) -> float:
     """Pooled regeneration BER of all mapped bytes against the references."""
-    errors = 0
-    bits = 0
-    trial = trial_seed_base
-    for t in temperatures:
-        for _ in range(trials_per_temp):
-            cells = puf.readout_cells(device, t, trial, *ELIGIBLE_CELLS)
-            trial += 1
-            for c in range(len(record.crp_map)):
-                got = challenge_to_response(record.crp_map, c, cells,
-                                            first_cell=ELIGIBLE_CELLS[0])
-                errors += (got ^ record.references[c]).bit_count()
-                bits += BLOCK_BITS
-    return errors / bits
+    reads = eligible_reads(device, temperatures, trials_per_temp, trial_seed_base)
+    got = response_bits(record.crp_map, reads, first_cell=ELIGIBLE_CELLS[0])
+    refs = np.array([[r >> j & 1 for j in range(BLOCK_BITS)] for r in record.references])
+    return np.count_nonzero(got != refs) / got.size
 
 
 # -------------------------------------------------------------- persistence

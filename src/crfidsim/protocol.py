@@ -219,8 +219,8 @@ def token_boot(
                            temperature=temperature)
     challenge = int(np.packbits(c_bits)[0])
     # power-up values of the challenged block's span only, first byte to last
-    block = nvm.crp_map.block_for_challenge(challenge)
-    lo, hi = 8 * block[0], 8 * (block[-1] + 1)
+    block = nvm.crp_map.cells_for_challenge(challenge)
+    lo, hi = int(block[0]), int(block[-1]) + 1
     cells = puf.readout_cells(device, temperature, 4 * boot_seed + 2, lo, hi)
     r = enroll.challenge_to_response(nvm.crp_map, challenge, cells, first_cell=lo)
     key, helper = fuzzy.fe_gen(r, FE_CONFIG)

@@ -1,5 +1,5 @@
-"""Hand-written mutants of the token, the prover's retry and the Monte-Carlo
-kernel, and a runner that shows Tier-1 kills each.
+"""Hand-written mutants of the token, the prover's retry, the Monte-Carlo
+kernel and enrollment, and a runner that shows Tier-1 kills each.
 
 Each entry of MUTANTS is (module, exact old text, new text, name): one
 textual change to src/crfidsim/<module>.py. The runner copies src/, tests/,
@@ -135,6 +135,16 @@ MUTANTS = (
     ("fuzzy", "np.bitwise_count(e) > cfg.code.t", "np.bitwise_count(e) >= cfg.code.t",
      "mc-weight-at-t-fails"),
     ("fuzzy", "cfg.code.t).any(axis=1)", "cfg.code.t).all(axis=1)", "mc-every-block-fails"),
+    # enroll: screening, the reference bits, the block->cell rule and the BER
+    ("enroll", "keep = stable & ~tie", "keep = stable", "enroll-tie-kept"),
+    ("enroll", "weights = 1 << np.arange(8)", "weights = 1 << np.arange(7, -1, -1)",
+     "enroll-ref-bits-msb-first"),
+    ("enroll", "if v.bit_count() == 4}", "if v.bit_count() >= 4}", "enroll-debias-any-weight"),
+    ("enroll", "[:, :, None] + np.arange(8)", "[:, :, None] + np.arange(1, 9)",
+     "enroll-cell-off-by-one"),
+    ("enroll", "if cells.min() < 0 or ", "if ", "enroll-window-no-low-check"),
+    ("enroll", "np.count_nonzero(got != refs) / got.size",
+     "np.count_nonzero(got != refs) / refs.size", "enroll-ber-wrong-total"),
 )
 
 

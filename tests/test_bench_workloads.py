@@ -1,4 +1,4 @@
-"""The benchmark's update workloads still run against the library.
+"""The benchmark's workloads still run against the library.
 
 bench/ lies outside the test paths, so a library change that breaks
 bench/workloads.py would otherwise show only under `pytest bench` or in a
@@ -51,3 +51,33 @@ def test_update_clean_silent_miscorrection_commits(monkeypatch, seed, index):
     result = workload.run(workload.build(), inp)
     assert result.failed == 0
     assert (result.record["outcome"], result.record["boots"]) == ("COMMITTED", 4)
+
+
+def test_mc_keyfail_unit_passes(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.McKeyfail(seed=1)
+    _, (result,) = run_units(workload, 1)
+    assert (result.ops, result.failed) == (workload.sessions_per_call, 0)
+    fingerprint, traffic = workload.summarize([result.record], [result.record])
+    assert fingerprint["failures_per_call"] == [result.record["failures"]]
+    assert traffic["sessions"] == workload.sessions_per_call
+
+
+def test_power_sweep_unit_passes_its_resimulation(monkeypatch):
+    """One pass over the grid is monotone, cold_start_session re-simulates
+    every cell's success count, and a count it cannot reproduce fails."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.PowerSweep(seed=1)
+    cells = workload.build()
+    _, (result,) = run_units(workload, 1)
+    assert (result.ops, result.failed) == (workload.unit_ops, 0)
+    window = [result.record]
+    assert workload.final_check(cells, window) == 0
+    fingerprint, traffic = workload.summarize(window, window)
+    assert fingerprint["passes"] == 1 and traffic["sessions"] == workload.unit_ops
+    assert len(fingerprint["cells"]) == len(cells)
+    wrong = [{**result.record, "success": [result.record["success"][0] + 1.0,
+                                           *result.record["success"][1:]]}]
+    assert workload.final_check(cells, wrong) == workload.trials_per_cell

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crfidsim import cli, enroll, puf
+from crfidsim import cli, enroll, protocol, puf
 from crfidsim.layout import DEFAULT_LAYOUT
 
 
@@ -185,6 +185,33 @@ class TestUpdate:
             "--tamper", "chunk:0",
         )
         assert code == 10
+
+    def test_mac_tamper_leaves_every_chunk_intact_after_a_brownout(self, capsys, tmp_path):
+        """--tamper mac alters the tag in every attempt and nothing else:
+        trial 9's first attempt browns out before its tag, so the later
+        attempts start at other delivery indexes than a full attempt's."""
+        code, cap = run_cli(
+            capsys, "update", "--seed", "0", "--image", "blinky", "--distance-cm", "30",
+            "--sleep-ms", "0", "--tamper", "mac", "--trials", "10", "--out", str(tmp_path),
+        )
+        assert rows_of("update", cap.out)[9][1:3] == ["BROWNOUT_ABORTED", "19"]
+        from crfidsim.gen2 import BitString, BlockWrite, Gen2Frame, decode
+
+        data = protocol.demo_images()["blinky"].assemble() + b"\x00"   # 399 bytes, padded to words
+        words = struct.unpack(f">{len(data) // 2}H", data)
+        writes = []
+        for line in (tmp_path / "transcript-9.txt").read_text().splitlines():
+            raw = bytes.fromhex(line)   # a BlockWrite ends in 6 pad bits
+            try:
+                view = decode(Gen2Frame(bits=BitString(int.from_bytes(raw, "big") >> 6,
+                                                       8 * len(raw) - 6)))
+            except ValueError:          # another command, padded otherwise
+                continue
+            if isinstance(view, BlockWrite) and view.membank == 3:
+                writes.append(view)
+        assert len(writes) == 10
+        for view in writes:
+            assert view.words == words[view.wordptr : view.wordptr + len(view.words)]
 
     def test_dropped_frame_times_out(self, capsys):
         code, cap = run_cli(

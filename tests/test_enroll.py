@@ -229,6 +229,43 @@ class TestFullPipeline:
         assert abs(ones / total - 0.5) < 0.005
 
 
+class TestResponseBits:
+    """The batch scorer reads every block as challenge_to_response does."""
+
+    @staticmethod
+    def as_bits(response):
+        return [response >> j & 1 for j in range(enroll.BLOCK_BITS)]
+
+    @pytest.mark.parametrize("temp", [0.0, 25.0, 40.0])
+    def test_eligible_reads_agree_with_challenge_to_response(self, enrolled, temp):
+        dev, record = enrolled
+        lo = 8 * ELIGIBLE_START
+        reads = enroll.eligible_reads(dev, [temp], 3, 600_000)
+        got = enroll.response_bits(record.crp_map, reads, first_cell=lo)
+        assert got.shape == (3, len(record.crp_map), enroll.BLOCK_BITS)
+        for read, blocks in zip(reads, got):
+            for c, bits in enumerate(blocks):
+                want = enroll.challenge_to_response(record.crp_map, c, read.ravel(),
+                                                    first_cell=lo)
+                assert bits.tolist() == self.as_bits(want)
+
+    def test_span_read_from_a_nonzero_first_cell(self, enrolled):
+        """A read of only the mapped span, first block's first byte to the
+        last block's last, as token_boot reads one block's span."""
+        dev, record = enrolled
+        blocks = record.crp_map.blocks
+        lo, hi = 8 * blocks[0][0], 8 * (blocks[-1][-1] + 1)
+        assert lo > 8 * ELIGIBLE_START
+        span = puf.readout_cells(dev, 25.0, 600_100, lo, hi)
+        got = enroll.response_bits(record.crp_map, span[None], first_cell=lo)
+        for c, bits in enumerate(got[0]):
+            want = enroll.challenge_to_response(record.crp_map, c, span, first_cell=lo)
+            assert bits.tolist() == self.as_bits(want)
+        for short in (span[None, 8:], span[None, :-8]):
+            with pytest.raises(ValueError):
+                enroll.response_bits(record.crp_map, short, first_cell=lo)
+
+
 def test_device_short_of_the_eligible_region_rejected():
     dev = puf.synth_device(num_cells=8 * ELIGIBLE_END - 1, seed=0)
     with pytest.raises(enroll.InsufficientMaterialError, match="eligible region"):
