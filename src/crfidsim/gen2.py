@@ -66,17 +66,10 @@ class BitString:
     def __len__(self) -> int:
         return self.length
 
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(self.value << other.length | other.value,
-                         self.length + other.length)
-
     def field(self, start: int, nbits: int) -> int:
         if start < 0 or nbits < 0 or start + nbits > self.length:
             raise ValueError("field out of range")
         return (self.value >> (self.length - start - nbits)) & ((1 << nbits) - 1)
-
-    def bit(self, i: int) -> int:
-        return self.field(i, 1)
 
     def flip(self, i: int) -> "BitString":
         if not 0 <= i < self.length:
@@ -130,8 +123,6 @@ def ebv_encode(value: int) -> BitString:
 def _ebv_decode(bits: BitString, pos: int) -> tuple[int, int]:
     value = 0
     for _ in range(EBV_MAX_GROUPS):
-        if pos + 8 > bits.length:
-            raise FrameFormatError("truncated EBV field")
         byte = bits.field(pos, 8)
         pos += 8
         value = value << 7 | (byte & 0x7F)
@@ -234,6 +225,8 @@ def encode(cmd: CommandView, rn: int) -> Gen2Frame:
 def parse_fields(frame: Gen2Frame) -> FrameFields:
     """Field-level parse with CRC verification, before discrimination."""
     bits = frame.bits
+    # the shortest frame (cmd, membank, one EBV group, wordcount, rn, crc) is
+    # 58 bits, the end of a longest EBV (5 groups from bit 10) and a wordcount
     if bits.length < 8 + 2 + 8 + 8 + 16 + 16:
         raise FrameFormatError("frame too short")
     if not residue_ok(bits):
@@ -242,8 +235,6 @@ def parse_fields(frame: Gen2Frame) -> FrameFields:
         raise UnknownDiscriminatorError("unknown command code")
     membank = bits.field(8, 2)
     wordptr, pos = _ebv_decode(bits, 10)
-    if pos + 8 > bits.length:
-        raise FrameFormatError("frame too short")
     wordcount = bits.field(pos, 8)
     pos += 8
     if pos + 16 * wordcount + 32 != bits.length:

@@ -42,10 +42,6 @@ class MemoryLayout:
     def eligible_bits(self) -> int:
         return 8 * self.eligible_bytes
 
-    def __post_init__(self) -> None:
-        if self.eligible_bytes <= 0:
-            raise ValueError("reserved regions exceed SRAM size")
-
 
 DEFAULT_LAYOUT = MemoryLayout()
 

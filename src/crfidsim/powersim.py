@@ -305,7 +305,8 @@ def critical_rate(sleep_ms: float) -> float:
     larger a never lowers the voltage path, and a session browns out only
     when that path ends a step below V_MIN. A session at distance 1 runs at
     exactly the float kappa, so bisection on it brackets a* from above to a
-    relative width of _BISECT_WIDTH.
+    relative width of _BISECT_WIDTH. A rate of 1/ms survives every sleep
+    setting, so [0, 1] brackets a* from the start.
     """
     _check_sleep(sleep_ms)
 
@@ -313,8 +314,6 @@ def critical_rate(sleep_ms: float) -> float:
         return cold_start_session(1.0, sleep_ms, 0, kappa=a).success
 
     lo, hi = 0.0, 1.0
-    while not survives(hi):
-        lo, hi = hi, 2 * hi
     while hi - lo > _BISECT_WIDTH * hi:
         mid = 0.5 * (lo + hi)
         if survives(mid):

@@ -158,8 +158,6 @@ class UpdateSetup:
 
     @classmethod
     def from_words(cls, words: Sequence[int]) -> "UpdateSetup":
-        if len(words) != 4:
-            raise ValueError("setup needs exactly 4 words")
         return cls(
             size=(words[0] << 16) | words[1],
             start_word=words[2],
@@ -244,11 +242,9 @@ def token_handle(
         return state, None, False
     try:
         view = gen2.decode(frame)
-    except gen2.BadCrcError:
-        return state, None, False
     except gen2.WordPtrRangeError:
         return state, Nak(ErrorCode.BAD_WORDPTR), False
-    except (gen2.UnknownDiscriminatorError, gen2.FrameFormatError):
+    except (gen2.BadCrcError, gen2.UnknownDiscriminatorError, gen2.FrameFormatError):
         return state, None, False
 
     if isinstance(view, gen2.TagPrivilege):
@@ -300,20 +296,18 @@ def token_handle(
         )
         return state, Ack("chunk"), False
 
-    if isinstance(view, gen2.SecureComm):
-        if state.mode is not TokenMode.FIRMWARE_UPDATE:
-            return state, Nak(ErrorCode.BAD_MODE), True
-        setup = state.setup
-        s_prime = mac.sc_decrypt(view.ciphertext, state.key)
-        off = 2 * setup.start_word
-        received = bytes(state.nvm.download_area[off : off + setup.size])
-        if mac.mac_firmware(received, state.auth.nonce, state.key) != s_prime:
-            return state, Nak(ErrorCode.MAC_MISMATCH), True
-        state.nvm.app_area[off : off + setup.size] = received
-        state.nvm.firmware_update_flag = False
-        return state, Ack("commit"), True
-
-    return state, None, False
+    # gen2.decode returns one of four views, so this is a SecureComm
+    if state.mode is not TokenMode.FIRMWARE_UPDATE:
+        return state, Nak(ErrorCode.BAD_MODE), True
+    setup = state.setup
+    s_prime = mac.sc_decrypt(view.ciphertext, state.key)
+    off = 2 * setup.start_word
+    received = bytes(state.nvm.download_area[off : off + setup.size])
+    if mac.mac_firmware(received, state.auth.nonce, state.key) != s_prime:
+        return state, Nak(ErrorCode.MAC_MISMATCH), True
+    state.nvm.app_area[off : off + setup.size] = received
+    state.nvm.firmware_update_flag = False
+    return state, Ack("commit"), True
 
 
 # ------------------------------------------------------------- simulation

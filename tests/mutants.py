@@ -1,5 +1,6 @@
-"""Hand-written mutants of the token, the prover's retry, the Monte-Carlo
-kernel and enrollment, and a runner that shows Tier-1 kills each.
+"""Hand-written mutants of the token, the prover's retry, Gen2 decoding, the
+CLI's input checks, the Monte-Carlo kernel and enrollment, and a runner that
+shows Tier-1 kills each.
 
 Each entry of MUTANTS is (module, exact old text, new text, name): one
 textual change to src/crfidsim/<module>.py. The runner copies src/, tests/,
@@ -42,6 +43,15 @@ MUTANTS = (
      "except gen2.WordPtrRangeError:\n        return state, Nak(ErrorCode.BAD_WORDPTR), False",
      "except gen2.WordPtrRangeError:\n        return state, None, False",
      "wordptr-range-silent"),
+    ("protocol",
+     "except (gen2.BadCrcError, gen2.UnknownDiscriminatorError, gen2.FrameFormatError):\n"
+     "        return state, None, False",
+     "except (gen2.BadCrcError, gen2.UnknownDiscriminatorError, gen2.FrameFormatError):\n"
+     "        return state, Nak(ErrorCode.BAD_SETUP), False",
+     "malformed-frame-naks"),
+    ("protocol",
+     "except (gen2.BadCrcError, gen2.UnknownDiscriminatorError, gen2.FrameFormatError):",
+     "except gen2.BadCrcError:", "malformed-frame-raises"),
     # TagPrivilege
     ("protocol", "if state.mode is TokenMode.KEY_READY and state.setup is None:",
      "if False:", "privilege-key-ready-resets"),
@@ -103,14 +113,14 @@ MUTANTS = (
     # SecureComm and the commit
     ("protocol",
      "if state.mode is not TokenMode.FIRMWARE_UPDATE:\n"
-     "            return state, Nak(ErrorCode.BAD_MODE), True",
-     "if False:\n            return state, Nak(ErrorCode.BAD_MODE), True",
+     "        return state, Nak(ErrorCode.BAD_MODE), True",
+     "if False:\n        return state, Nak(ErrorCode.BAD_MODE), True",
      "tag-any-mode"),
     ("protocol",
-     "return state, Nak(ErrorCode.BAD_MODE), True\n        setup = state.setup\n"
-     "        s_prime",
-     "return state, Nak(ErrorCode.BAD_MODE), False\n        setup = state.setup\n"
-     "        s_prime",
+     "return state, Nak(ErrorCode.BAD_MODE), True\n    setup = state.setup\n"
+     "    s_prime",
+     "return state, Nak(ErrorCode.BAD_MODE), False\n    setup = state.setup\n"
+     "    s_prime",
      "tag-bad-mode-no-reset"),
     ("protocol", "if mac.mac_firmware(received, state.auth.nonce, state.key) != s_prime:",
      "if False:", "tag-unchecked"),
@@ -126,11 +136,27 @@ MUTANTS = (
     ("protocol", "self.brownout_pending = True", "pass", "brownout-not-pending"),
     ("protocol", "if reset:\n            self.power_cycle()", "if False:\n            pass",
      "reset-ignored"),
+    # TokenSim: a powered token charges the tag check only on a decoded SecureComm
+    ("protocol",
+     "except ValueError:   # token_handle ignores or rejects the frame\n"
+     "                pass",
+     "except ValueError:   # token_handle ignores or rejects the frame\n"
+     "                return (powersim.FRAME, powersim.mac_op(self.state.setup.size + 16))",
+     "frame-ops-mac-on-undecodable"),
     # the prover: which endings a fresh boot retries, and when the field cycles
     ("protocol", "reply.code is ErrorCode.MAC_MISMATCH", "False",
      "mac-mismatch-not-retried"),
     ("protocol", "if outcome is UpdateOutcome.BROWNOUT_ABORTED:",
      "if outcome is not None:", "field-cycled-every-retry"),
+    # gen2.decode: the structure checks behind a valid CRC
+    ("gen2", "if len(f.words) < 1:", "if False:", "empty-write-accepted"),
+    ("gen2", "if len(f.words) != 9:", "if False:", "wrapper-any-length"),
+    ("gen2", "for _ in range(EBV_MAX_GROUPS):", "for _ in range(EBV_MAX_GROUPS + 1):",
+     "ebv-sixth-group-read"),
+    # the CLI's checks of an image file and of --tamper indexes
+    ("cli", "if not data:", "if False:", "cli-empty-image-accepted"),
+    ("cli", "if not 0 <= idx < chunks:", "if False:", "cli-chunk-index-unchecked"),
+    ("cli", "if not 0 <= idx <= 3 + chunks:", "if False:", "cli-drop-index-unchecked"),
     # fuzzy.run_sessions: a session fails when some block has more than t errors
     ("fuzzy", "np.bitwise_count(e) > cfg.code.t", "np.bitwise_count(e) >= cfg.code.t",
      "mc-weight-at-t-fails"),

@@ -104,6 +104,13 @@ def test_unsupported_parameters_rejected():
         bch.make_code(31, 6, 3)
 
 
+@pytest.mark.parametrize("params", ALL_CODES)
+def test_zero_has_no_inverse(params):
+    gf = bch.GaloisField(bch.make_code(*params).field_poly)
+    with pytest.raises(ZeroDivisionError):
+        gf.inverse(0)
+
+
 def test_syndrome_zero_vector():
     code = bch.make_code(31, 16, 3)
     s = bch.syndrome(0, code)

@@ -227,6 +227,28 @@ class TestUpdate:
         code, _ = run_cli(capsys, "update", "--image", "/no/such/file")
         assert code == 3
 
+    def test_image_file_commits_like_the_named_demo(self, capsys, tmp_path):
+        path = tmp_path / "sense.bin"
+        path.write_bytes(protocol.demo_images()["sense"].data)
+        code, from_file = run_cli(capsys, "update", "--seed", "11", "--image", str(path))
+        _, named = run_cli(capsys, "update", "--seed", "11", "--image", "sense")
+        assert code == 0
+        assert from_file.out == named.out
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--image", "<empty>"), "is empty"),
+        (("--tamper", "chunk:99"), "chunk index out of range"),
+        (("--tamper", "drop:99"), "frame index out of range"),
+        (("--device", "bogus"), "unknown device source"),
+    ], ids=["empty-image", "chunk-past-image", "drop-past-session", "unknown-device"])
+    def test_bad_input_exits_3(self, capsys, tmp_path, argv, message):
+        (tmp_path / "empty.bin").write_bytes(b"")
+        argv = [a.replace("<empty>", str(tmp_path / "empty.bin")) for a in argv]
+        code, cap = run_cli(capsys, "update", *argv)
+        assert code == 3
+        assert message in cap.err
+        assert "Traceback" not in cap.err
+
     def test_powered_close_range_commits(self, capsys):
         code, cap = run_cli(
             capsys, "update", "--seed", "11", "--image", "blinky",
@@ -381,6 +403,7 @@ class TestAttack:
     ["update", "--distance-cm", "0"],
     ["update", "--distance-cm", "-5"],
     ["update", "--distance-cm", "nan"],
+    ["update", "--distance-cm", "abc"],
     ["update", "--tamper", "chunk:abc"],
     ["update", "--tamper", "drop:"],
     ["update", "--trials", "0"],

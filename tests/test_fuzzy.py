@@ -178,6 +178,12 @@ def test_residual_min_entropy_values():
     assert fuzzy.residual_min_entropy(0.5374, cfg) < 128.0
 
 
+@pytest.mark.parametrize("bias", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_residual_min_entropy_rejects_bias_outside_open_unit_interval(bias):
+    with pytest.raises(ValueError, match="bias must be in"):
+        fuzzy.residual_min_entropy(bias, fuzzy.default_config())
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.001, 0.499))
 def test_residual_min_entropy_symmetric_and_below_max(delta):

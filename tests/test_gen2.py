@@ -19,25 +19,33 @@ def ref_crc_register(bits: list[int]) -> int:
 
 
 def bit_list(bs: gen2.BitString) -> list[int]:
-    return [bs.bit(i) for i in range(len(bs))]
+    return [bs.field(i, 1) for i in range(len(bs))]
+
+
+def concat(*parts: gen2.BitString) -> gen2.BitString:
+    """The parts' bits one after another, the first part first on the air."""
+    out = gen2.BitString()
+    for part in parts:
+        out = gen2.BitString(out.value << part.length | part.value,
+                             out.length + part.length)
+    return out
 
 
 def raw_frame(membank, wordptr, words, rn=0x1111, wordcount=None):
-    body = (
-        gen2.BitString(gen2.CMD_BLOCKWRITE, 8)
-        .concat(gen2.BitString(membank, 2))
-        .concat(gen2.ebv_encode(wordptr))
-        .concat(gen2.BitString(wordcount if wordcount is not None else len(words), 8))
+    body = concat(
+        gen2.BitString(gen2.CMD_BLOCKWRITE, 8),
+        gen2.BitString(membank, 2),
+        gen2.ebv_encode(wordptr),
+        gen2.BitString(wordcount if wordcount is not None else len(words), 8),
+        *(gen2.BitString(w, 16) for w in words),
+        gen2.BitString(rn, 16),
     )
-    for w in words:
-        body = body.concat(gen2.BitString(w, 16))
-    body = body.concat(gen2.BitString(rn, 16))
-    return gen2.Gen2Frame(bits=body.concat(gen2.BitString(gen2.crc16(body), 16)))
+    return gen2.Gen2Frame(bits=concat(body, gen2.BitString(gen2.crc16(body), 16)))
 
 
 class TestBitString:
     def test_concat_and_field(self):
-        bs = gen2.BitString(0b101, 3).concat(gen2.BitString(0b0011, 4))
+        bs = concat(gen2.BitString(0b101, 3), gen2.BitString(0b0011, 4))
         assert bs.value == 0b1010011 and bs.length == 7
         assert bs.field(0, 3) == 0b101
         assert bs.field(3, 4) == 0b0011
@@ -115,7 +123,7 @@ def ref_ebv(value: int) -> gen2.BitString:
     out = gen2.BitString()
     for i, g in enumerate(reversed(groups)):
         ext = 1 if i < len(groups) - 1 else 0
-        out = out.concat(gen2.BitString(ext << 7 | g, 8))
+        out = concat(out, gen2.BitString(ext << 7 | g, 8))
     return out
 
 
@@ -133,16 +141,14 @@ def ref_fields(cmd) -> tuple[int, int, tuple[int, ...]]:
 
 
 def ref_encode(cmd, rn: int) -> gen2.BitString:
-    """Frame bits built one BitString.concat per field and per word, with a
+    """Frame bits concatenated one field and one word at a time, with a
     bit-serial CRC."""
     membank, wordptr, words = ref_fields(cmd)
-    body = gen2.BitString(gen2.CMD_BLOCKWRITE, 8).concat(gen2.BitString(membank, 2))
-    body = body.concat(ref_ebv(wordptr)).concat(gen2.BitString(len(words), 8))
-    for w in words:
-        body = body.concat(gen2.BitString(w, 16))
-    body = body.concat(gen2.BitString(rn, 16))
+    body = concat(gen2.BitString(gen2.CMD_BLOCKWRITE, 8), gen2.BitString(membank, 2),
+                  ref_ebv(wordptr), gen2.BitString(len(words), 8),
+                  *(gen2.BitString(w, 16) for w in words), gen2.BitString(rn, 16))
     crc = ref_crc_register(bit_list(body)) ^ 0xFFFF
-    return body.concat(gen2.BitString(crc, 16))
+    return concat(body, gen2.BitString(crc, 16))
 
 
 wide_block_writes = st.builds(
@@ -293,10 +299,9 @@ class TestFormatErrors:
             gen2.decode(f)
 
     def test_unknown_command_code(self):
-        body = gen2.BitString(0xC2, 8).concat(gen2.BitString(0, 2))
-        body = body.concat(gen2.ebv_encode(0)).concat(gen2.BitString(1, 8))
-        body = body.concat(gen2.BitString(0, 16)).concat(gen2.BitString(0, 16))
-        f = gen2.Gen2Frame(bits=body.concat(gen2.BitString(gen2.crc16(body), 16)))
+        body = concat(gen2.BitString(0xC2, 8), gen2.BitString(0, 2), gen2.ebv_encode(0),
+                      gen2.BitString(1, 8), gen2.BitString(0, 16), gen2.BitString(0, 16))
+        f = gen2.Gen2Frame(bits=concat(body, gen2.BitString(gen2.crc16(body), 16)))
         with pytest.raises(gen2.UnknownDiscriminatorError):
             gen2.decode(f)
 
@@ -313,6 +318,47 @@ class TestFormatErrors:
     def test_rn_range(self):
         with pytest.raises(ValueError):
             gen2.encode(gen2.TagPrivilege(), 1 << 16)
+
+
+# each guard against a caller's bad input, with the message that names it
+CALLER_INPUT_GUARDS = {
+    "csi-above-byte": (lambda: gen2.encode(gen2.Authenticate(csi=0x100), 0),
+                       ValueError, "CSI must fit one byte"),
+    "csi-negative": (lambda: gen2.encode(gen2.Authenticate(csi=-1), 0),
+                     ValueError, "CSI must fit one byte"),
+    "inner-wordptr-past-area": (
+        lambda: gen2.encode(gen2.SecureComm(inner_wordptr=gen2.DOWNLOAD_WORDS,
+                                            ciphertext=bytes(16)), 0),
+        gen2.WordPtrRangeError, "inner wordptr outside the download area"),
+    "ciphertext-short": (
+        lambda: gen2.encode(gen2.SecureComm(inner_wordptr=0, ciphertext=bytes(15)), 0),
+        ValueError, "ciphertext must be one 128-bit block"),
+    "membank-4": (lambda: gen2.encode(gen2.BlockWrite(membank=4, wordptr=0, words=(1,)), 0),
+                  ValueError, "membank must be 0..3"),
+    "word-above-16-bit": (
+        lambda: gen2.encode(gen2.BlockWrite(membank=3, wordptr=0, words=(0x10000,)), 0),
+        ValueError, "data words must be 16-bit"),
+    "word-negative": (
+        lambda: gen2.encode(gen2.BlockWrite(membank=3, wordptr=0, words=(1, -1)), 0),
+        ValueError, "data words must be 16-bit"),
+    "not-a-view": (lambda: gen2.encode(b"\xc7", 0), TypeError, "not a command view"),
+    "frame-57-bits": (lambda: gen2.decode(gen2.Gen2Frame(bits=gen2.BitString(0, 57))),
+                      gen2.FrameFormatError, "frame too short"),
+    "flip-past-end": (lambda: gen2.BitString(0, 8).flip(8),
+                      ValueError, "bit index out of range"),
+    "flip-negative": (lambda: gen2.BitString(0, 8).flip(-1),
+                      ValueError, "bit index out of range"),
+    "crc-of-nothing": (lambda: gen2.crc16(gen2.BitString()), ValueError, "empty bit string"),
+    "ebv-negative": (lambda: gen2.ebv_encode(-1),
+                     ValueError, "EBV value must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLER_INPUT_GUARDS))
+def test_caller_input_guards(name):
+    call, error, message = CALLER_INPUT_GUARDS[name]
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestHexDump:

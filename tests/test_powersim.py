@@ -331,6 +331,11 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             ps.success_rate(*args)
 
+    @pytest.mark.parametrize("dt_ms", [-1e-12, -1.0, -math.inf])
+    def test_charge_rejects_negative_time(self, dt_ms):
+        with pytest.raises(ValueError, match="negative time"):
+            ps.charge(state_at(2.0), dt_ms)
+
     def test_infinite_distance_fails_on_both_paths(self):
         res = ps.cold_start_session(math.inf, 0, 1)
         assert (res.success, res.failed_op) == (False, "charge")
@@ -368,6 +373,11 @@ class TestCriticalRate:
             assert ps.cold_start_session(1.0, sleep, 0, kappa=a_star).success
             below = a_star * (1 - 1e-12)
             assert not ps.cold_start_session(1.0, sleep, 0, kappa=below).success
+
+    def test_unit_rate_survives_every_sleep(self):
+        # critical_rate bisects on [0, 1] without widening it
+        for sleep in ps.SLEEP_CHOICES:
+            assert ps.cold_start_session(1.0, sleep, 0, kappa=1.0).success
 
     def test_sleep_lowers_the_threshold(self):
         # with test_success_prob_trends, criterion 9's monotonicity in sleep
@@ -619,6 +629,24 @@ class TestPoweredToken:
         assert violations == []
         assert outcomes == {protocol.UpdateOutcome.COMMITTED,
                             protocol.UpdateOutcome.BROWNOUT_ABORTED}
+
+    def test_undecodable_frame_in_an_update_costs_one_frame(self, rig):
+        """A bit-flipped tag frame costs FRAME alone: no tag check runs on a
+        frame the token cannot decode, and the token stays silent."""
+        device, record, _ = rig
+        harvest = ps.Harvest(20.0, 0, ps.draw_kappa(0, 0))
+        token = protocol.TokenSim(device, record.crp_map, session_seed=3, harvest=harvest)
+        setup = protocol.UpdateSetup(64, 0, protocol.METHOD_CMAC_AES128).to_words()
+        for view in (TagPrivilege(),
+                     BlockWrite(membank=0, wordptr=protocol.SETUP_WORDPTR, words=setup),
+                     gen2.Authenticate(csi=protocol.CSI_CMAC_AES128)):
+            assert token.deliver(encode(view, 0)) is not None
+        assert token.state.mode is protocol.TokenMode.FIRMWARE_UPDATE
+        tag = encode(gen2.SecureComm(inner_wordptr=0, ciphertext=bytes(16)), 0)
+        before = token.energy
+        assert token.deliver(gen2.Gen2Frame(bits=tag.bits.flip(30))) is None
+        assert token.energy == ps.run_ops((ps.FRAME,), harvest.sleep_ms, before).state
+        assert token.state.mode is protocol.TokenMode.FIRMWARE_UPDATE
 
     def test_rejected_oversized_image_costs_less_than_a_commit(self, rig):
         harvest = ps.Harvest(20.0, 0, ps.draw_kappa(0, 0))

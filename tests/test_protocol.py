@@ -431,6 +431,32 @@ def test_token_handle_table(enrolled, state_name, command, mode, expected, reset
         assert bytes(state.nvm.app_area) == app
 
 
+@pytest.mark.parametrize("membank,wordptr,words,error,message", [
+    (3, 0, (), gen2.FrameFormatError, "empty write"),
+    (0, gen2.WORDPTR_SECURECOMM, (0, 1, 2), gen2.UnknownDiscriminatorError,
+     "malformed encrypted-write wrapper"),
+    (3, 1 << 7 * gen2.EBV_MAX_GROUPS, (1,), gen2.FrameFormatError, "EBV field too long"),
+], ids=["empty-write", "three-word-wrapper", "six-ebv-groups"])
+def test_crc_valid_malformed_frame_is_silence(enrolled, membank, wordptr, words,
+                                              error, message):
+    """A frame whose CRC holds but whose structure does not gets no reply,
+    even in FIRMWARE_UPDATE, and changes nothing on the token."""
+    frame = raw_frame(membank=membank, wordptr=wordptr, words=words)
+    with pytest.raises(error, match=message):
+        gen2.decode(frame)
+    state = table_state(enrolled, "firmware_update")
+
+    def snapshot():
+        nvm = state.nvm
+        return (state.mode, state.key, state.auth, state.setup, nvm.firmware_update_flag,
+                bytes(nvm.app_area), bytes(nvm.download_area))
+
+    before = snapshot()
+    state, reply, reset = protocol.token_handle(state, frame)
+    assert (reply, reset) == (None, False)
+    assert snapshot() == before
+
+
 class TestEndToEnd:
     def test_clean_session_commits(self, enrolled):
         dev, record, db = enrolled
